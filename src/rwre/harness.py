@@ -184,7 +184,7 @@ def _cdf_errors(z: np.ndarray, x_grid) -> tuple:
 def _budget_for(config: ExperimentConfig, mu_hint: float, scale: int) -> SimulationBudget:
     guard = config.left_guard if config.left_guard is not None else suggested_left_guard(config.model)
     max_steps = config.max_steps if config.max_steps is not None else walk.default_max_steps(scale, mu_hint)
-    return SimulationBudget(left_guard=guard, max_steps=max_steps, t_max=0, n_max=scale)
+    return SimulationBudget(left_guard=guard, max_steps=max_steps)
 
 
 def _experiment_window(config: ExperimentConfig, right: int, env_seed: int,
@@ -350,7 +350,7 @@ def lln_check(config: ExperimentConfig, *, rel_tol: float | None = None) -> LlnR
     guard = config.left_guard if config.left_guard is not None else suggested_left_guard(config.model)
     mu_hint = mu if mu is not None else 10.0
     max_steps = config.max_steps or (walk.default_max_steps(n_max, mu_hint) + 2 * t_max)
-    budget = SimulationBudget(left_guard=guard, max_steps=max_steps, t_max=t_max, n_max=n_max)
+    budget = SimulationBudget(left_guard=guard, max_steps=max_steps)
     env_seed = config.resolved_env_seed()
     window = _experiment_window(config, max(n_max, t_max) + 1, env_seed, guard)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.resolved_walk_seed()))
@@ -644,11 +644,7 @@ def coupling_identity_check(
     n_goal = config.n
     summ_mu_hint = analytics.summary(config.model, budget=50_000, tol=config.tol).mu
     guard = config.left_guard if config.left_guard is not None else suggested_left_guard(config.model)
-    budget = SimulationBudget(
-        left_guard=guard,
-        max_steps=walk.default_max_steps(n_goal, summ_mu_hint),
-        n_max=n_goal,
-    )
+    budget = SimulationBudget(left_guard=guard, max_steps=walk.default_max_steps(n_goal, summ_mu_hint))
     env_seed = config.resolved_env_seed()
     window = _experiment_window(config, n_goal + 1, env_seed, guard)
     checks = 0

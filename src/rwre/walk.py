@@ -2,14 +2,15 @@
 
 Single-replica trajectories are stepped one uniform draw at a time and
 record first-passage times, snapshots, and (optionally) the full path.
-Batched engines run replicas in lockstep chunks of a fixed width so that
-every replica's draw stream is a pure function of (master seed, replica
-index): chunk c uses the generator spawned with key (c,), and replica i
-reads column i mod 1024 of that chunk's draw matrix regardless of how many
-replicas are requested or how work is distributed over workers.
+Batched engines run replicas in full-width chunks of 1024, chunk c on the
+generator spawned with key (c,), so every replica's result is a pure function
+of (master seed, replica index).  Hitting times T(n) use the Kesten-Kozlov-
+Spitzer branching decomposition, O(n + backtrack depth) per replica whatever
+the walk's speed; positions X(t) are stepped in lockstep.
 
 Guard breaches are hard errors, never silent reflections: reflecting at a
-boundary would bias crossing times.
+boundary would bias crossing times.  The hitting engine raises the guard
+and step-budget errors on exactly the events a stepped walk would.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "first_passage_index",
     "batch_hitting_times",
     "batch_positions",
-    "replica_chunks",
     "REPLICA_CHUNK",
 ]
 
@@ -50,14 +50,12 @@ class SimulationBudget:
 
     left_guard: int
     max_steps: int
-    t_max: int = 0
-    n_max: int = 0
 
     def __post_init__(self) -> None:
         if self.left_guard < 1:
             raise ModelError(f"budget.left_guard: must be >= 1, got {self.left_guard}")
-        if self.max_steps < max(self.t_max, 1):
-            raise ModelError("budget.max_steps: must cover t_max and be positive")
+        if self.max_steps < 1:
+            raise ModelError(f"budget.max_steps: must be >= 1, got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +74,6 @@ class WalkObservation:
     hit: np.ndarray
     snapshots: tuple[tuple[int, int], ...] = ()
     path: np.ndarray | None = None
-
-    def first_passage_index(self, t: float) -> int:
-        return first_passage_index(self, t)
 
 
 def step(window: EnvironmentWindow, x: int, rng: np.random.Generator) -> int:
@@ -105,7 +100,6 @@ def _simulate(
     snap_times=(),
     record_first_passage: bool = False,
     record_path: bool = False,
-    replica_seed: int = -1,
 ) -> WalkObservation:
     p = window.p
     lo = window.lo
@@ -163,7 +157,7 @@ def _simulate(
     hit = np.array(fp, dtype=np.int64) if record_first_passage else np.zeros(1, dtype=np.int64)
     tau = np.diff(hit)
     return WalkObservation(
-        replica_seed=replica_seed,
+        replica_seed=-1,
         start=z0,
         tau=tau,
         hit=hit,
@@ -246,7 +240,7 @@ def first_passage_index(observation: WalkObservation, t: float) -> int:
 # chunked batch engines
 
 
-def replica_chunks(n_replicas: int) -> int:
+def _replica_chunks(n_replicas: int) -> int:
     """Number of fixed-width chunks needed for n_replicas."""
     return (n_replicas + REPLICA_CHUNK - 1) // REPLICA_CHUNK
 
@@ -258,37 +252,47 @@ def _chunk_rng(master_seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def hitting_chunk(args) -> np.ndarray:
-    """Lockstep hitting times T(n) for one full replica chunk.
+    """Hitting times T(n) for one full replica chunk, by branching decomposition.
 
-    The chunk is always simulated at full width so a replica's draws do not
-    depend on the total replica count; callers slice off the unused tail.
+    T(n) = n + 2 sum_{k<n} D_k, where D_k counts the left steps taken from
+    site k and, given the environment, D_k ~ NegBin(D_{k+1} + 1{k>=0}, p_k)
+    with D_n = 0 (Kesten, Kozlov and Spitzer 1975).  Sites are drawn from n-1
+    leftwards until every replica's D has died out; the walker visits k < 0
+    iff D_{k+1} > 0.  Full width always: callers slice off the unused tail.
     """
     window, n, master_seed, chunk_index, left_guard, max_steps = args
     rng = _chunk_rng(master_seed, chunk_index)
-    p = window.p
     lo = window.lo
     if n > window.hi or -left_guard < lo:
         raise WindowTooSmallError(
             f"window [{lo}, {window.hi}] must cover [-{left_guard}, {n}]"
         )
-    x = np.zeros(REPLICA_CHUNK, dtype=np.int64)
-    t_hit = np.zeros(REPLICA_CHUNK, dtype=np.int64)
-    active = np.ones(REPLICA_CHUNK, dtype=bool)
-    for t in range(1, max_steps + 1):
-        u = rng.random(REPLICA_CHUNK)
-        move = np.where(u < p[x - lo], 1, -1)
-        x = np.where(active, x + move, x)
-        if x.min() <= -left_guard:
-            raise LeftGuardBreachError(
-                f"a walker reached the left guard {-left_guard}; enlarge the guard"
-            )
-        arrived = active & (x == n)
-        if arrived.any():
-            t_hit[arrived] = t
-            active &= ~arrived
-            if not active.any():
-                return t_hit
-    raise StepBudgetExceededError(f"hitting chunk exceeded max_steps={max_steps}")
+    inv_log_q = 1.0 / np.log1p(-window.p)
+    limit = (max_steps - n) / 2.0  # more left steps: T(n) > max_steps
+    left_steps = np.zeros(REPLICA_CHUNK)
+    alive = slice(None)  # replicas whose walker visits site k: all while k >= 0
+    trials = np.ones(REPLICA_CHUNK, dtype=np.int64)
+    for k in range(n - 1, -left_guard - 1, -1):
+        if k < 0:
+            keep = trials > 0
+            alive, trials = np.arange(REPLICA_CHUNK)[alive][keep], trials[keep]
+            if not trials.size:
+                break
+            if k == -left_guard:
+                raise LeftGuardBreachError(
+                    f"a walker reached the left guard {-left_guard}; enlarge the guard"
+                )
+        # NegBin(trials, p_k) as sums of inverted geometrics, exact in law
+        ends = np.cumsum(trials)
+        g = np.log1p(-rng.random(int(ends[-1])))
+        g *= inv_log_q[k - lo]
+        np.floor(g, out=g)
+        d = np.add.reduceat(g, ends - trials)
+        left_steps[alive] += d  # checked per site, which also bounds the draws
+        if left_steps.max() > limit:
+            raise StepBudgetExceededError(f"hitting chunk exceeded max_steps={max_steps}")
+        trials = d.astype(np.int64) + (k > 0)
+    return n + 2 * left_steps.astype(np.int64)
 
 
 def position_chunk(args) -> np.ndarray:
@@ -333,7 +337,7 @@ def batch_hitting_times(
     """T(n) for n_replicas independent replicas under one quenched window."""
     tasks = [
         (window, n, master_seed, c, budget.left_guard, budget.max_steps)
-        for c in range(replica_chunks(n_replicas))
+        for c in range(_replica_chunks(n_replicas))
     ]
     parts = _run_chunks(hitting_chunk, tasks, workers)
     return np.concatenate(parts)[:n_replicas]
@@ -352,7 +356,7 @@ def batch_positions(
     """X(t) for n_replicas independent replicas under one quenched window."""
     tasks = [
         (window, z0, t_steps, master_seed, c, budget.left_guard)
-        for c in range(replica_chunks(n_replicas))
+        for c in range(_replica_chunks(n_replicas))
     ]
     parts = _run_chunks(position_chunk, tasks, workers)
     return np.concatenate(parts)[:n_replicas]

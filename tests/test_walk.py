@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from rwre.environment import Constant, EnvironmentWindow, realize
+from rwre.environment import (
+    Constant,
+    EnvironmentWindow,
+    IidDiscrete,
+    realize,
+    suggested_burn_in,
+    suggested_left_guard,
+)
 from rwre.errors import (
     LeftGuardBreachError,
     RightGuardBreachError,
@@ -210,3 +217,43 @@ class TestBatchEngines:
             batch_hitting_times(window_75, 5000, 1, 200, budget)
         with pytest.raises(WindowTooSmallError):
             batch_positions(window_75, 5000, 1, 200, budget)
+
+    def test_batch_crossing_time_pmf(self, window_75):
+        # T(1): P(T=1) = p_0 and P(T=3) = (1-p_0) p_{-1} p_0
+        mixed = EnvironmentWindow.from_values([0.9] * 99 + [0.5, 0.75] + [0.9] * 10, lo=-100)
+        r = 20 * REPLICA_CHUNK
+        for window, pmf in ((window_75, {1: 0.75, 3: 0.140625}), (mixed, {1: 0.75, 3: 0.09375})):
+            t1 = batch_hitting_times(window, 1, 77, r, BUDGET)
+            assert np.all(t1 % 2 == 1)
+            for value, prob in pmf.items():
+                se = np.sqrt(prob * (1.0 - prob) / r)
+                assert abs(np.mean(t1 == value) - prob) <= 5.0 * se
+
+    def test_batch_moments_match_profile_on_slow_law(self):
+        from rwre.analytics import MomentProfile
+
+        slow = IidDiscrete(atoms=((0.75, 0.5), (0.45, 0.5)))  # mu = 8
+        guard = suggested_left_guard(slow)
+        w = realize(slow, -max(guard + 2, suggested_burn_in(slow)), 401, seed=3)
+        profile = MomentProfile(w)
+        n, r = 400, 20 * REPLICA_CHUNK
+        t_n = batch_hitting_times(w, n, 2718, r, SimulationBudget(left_guard=guard, max_steps=10**7))
+        var = float(np.var(t_n, ddof=1))
+        var_se = np.sqrt((np.mean((t_n - t_n.mean()) ** 4) - var ** 2) / r)
+        assert abs(t_n.mean() - profile.hitting_centering(n)) <= 5.0 * np.sqrt(var / r)
+        assert abs(var - float(profile.sigma2_array(n).sum())) <= 5.0 * var_se
+
+    def test_batch_left_guard_breach(self, window_75):
+        # each replica's walker steps left of 0 with probability 1/4
+        with pytest.raises(LeftGuardBreachError):
+            batch_hitting_times(window_75, 50, 1, 200, SimulationBudget(left_guard=1, max_steps=10**6))
+
+    def test_batch_step_budget(self, window_75):
+        with pytest.raises(StepBudgetExceededError):
+            batch_hitting_times(window_75, 50, 1, 200, SimulationBudget(left_guard=80, max_steps=49))
+        # the chunk raises exactly when one of its T(n) exceeds max_steps
+        t_max = int(batch_hitting_times(window_75, 50, 1, REPLICA_CHUNK, BUDGET).max())
+        budget = SimulationBudget(left_guard=80, max_steps=t_max)
+        assert batch_hitting_times(window_75, 50, 1, 200, budget).max() <= t_max
+        with pytest.raises(StepBudgetExceededError):
+            batch_hitting_times(window_75, 50, 1, 200, SimulationBudget(left_guard=80, max_steps=t_max - 1))
