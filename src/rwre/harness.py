@@ -11,7 +11,6 @@ a reported number.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,7 +162,6 @@ class ExperimentReport:
     env_seed: int
     walk_seed: int
     ks_distribution: tuple[float, ...] = ()
-    wall_clock: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ks_distance <= 1.0:
@@ -200,7 +198,6 @@ def clt_hitting(config: ExperimentConfig) -> ExperimentReport:
     window-averaged crossing variance (the self-consistent quenched scale),
     then measures the KS distance to the standard normal CDF.
     """
-    t0 = time.perf_counter()
     summ = analytics.summary(config.model, budget=config.summary_budget, tol=config.tol)
     n = config.n
     budget = _budget_for(config, summ.mu, n)
@@ -244,7 +241,6 @@ def clt_hitting(config: ExperimentConfig) -> ExperimentReport:
         env_seed=env_seed,
         walk_seed=config.resolved_walk_seed(),
         ks_distribution=tuple(ks_list),
-        wall_clock=time.perf_counter() - t0,
     )
 
 
@@ -255,7 +251,6 @@ def clt_position(config: ExperimentConfig) -> ExperimentReport:
     the same window the walkers run in; the scale is sqrt(t) times the
     window's self-consistent position scale.
     """
-    t0 = time.perf_counter()
     summ = analytics.summary(config.model, budget=config.summary_budget, tol=config.tol)
     t = config.t
     budget = _budget_for(config, summ.mu, t)
@@ -274,10 +269,8 @@ def clt_position(config: ExperimentConfig) -> ExperimentReport:
         window_sigma2 = float(profile.sigma2_array(k_used).mean())
         sigma_star = math.sqrt(window_mu**-3 * window_sigma2)
         scale_value = math.sqrt(t) * sigma_star
-        samples = walk.batch_positions(
-            window, t, config.resolved_walk_seed(), config.replicas, budget,
-            workers=config.workers,
-        )
+        samples = walk.batch_positions(window, t, config.resolved_walk_seed(),
+                                       config.replicas, budget)
         z = (samples - centering) / scale_value
         ks = ks_distance(z)
         ks_list.append(ks)
@@ -304,7 +297,6 @@ def clt_position(config: ExperimentConfig) -> ExperimentReport:
         env_seed=env_seed,
         walk_seed=config.resolved_walk_seed(),
         ks_distribution=tuple(ks_list),
-        wall_clock=time.perf_counter() - t0,
     )
 
 

@@ -18,9 +18,10 @@ transcription swaps the two arguments.  Both symbolic variants are evaluated
 by ``forcing_terms`` and compared to the e-derived forcing; only the
 unswapped variant matches, and the oracle always builds f from the solved e.
 
-The dynamic-programming route gives the exact position law at small times;
-the Monte Carlo route estimates single-edge crossing moments with standard
-errors.  Together they adjudicate every formula discrepancy flagged upstream.
+Banded forward propagation gives the quenched law of X(t) in O(t * band)
+(also the sampler behind ``walk.batch_positions``); the Monte Carlo route
+estimates single-edge crossing moments with standard errors.  Together they
+adjudicate every formula discrepancy flagged upstream.
 """
 
 from __future__ import annotations
@@ -45,10 +46,13 @@ __all__ = [
     "solve_finite_chain",
     "expected_hitting_times",
     "hitting_time_variances",
+    "position_law",
     "exact_position_distribution",
     "mc_crossing_moments",
     "forcing_terms",
 ]
+
+LAW_EPS = 1e-30
 
 
 @dataclass(frozen=True)
@@ -179,31 +183,51 @@ class ExactPmf:
         return 0.5 * sum(abs(emp.get(k, 0.0) - exact.get(k, 0.0)) for k in keys)
 
 
-def exact_position_distribution(window: EnvironmentWindow, z0: int, t: int) -> ExactPmf:
-    """Forward probability propagation for t steps (cost O(t^2)).
+def position_law(window: EnvironmentWindow, z0: int, t: int, left_guard: int | None = None):
+    """Quenched law of X(t) from z0 by banded forward propagation, O(t * band).
 
-    Mass at x splits p_x to the right and 1 - p_x to the left each step.
-    The window must cover [z0 - t, z0 + t].
+    Each step, mass m at x sends ``right = m p_x`` to x+1 and ``m - right`` to
+    x-1; mass reaching -left_guard (if given) is absorbed.  Only the band from
+    the first to the last cell of mass >= LAW_EPS is kept, so at most t + 1
+    cells, each below LAW_EPS, are ever dropped.  Returns (start, masses,
+    absorbed, dropped), with masses[i] = P(X(t) = start + 2i, no absorption).
+    """
+    left = z0 - t if left_guard is None else -left_guard
+    if left < window.lo or z0 + t > window.hi:
+        raise WindowTooSmallError(f"window [{window.lo}, {window.hi}] must cover [{left}, {z0 + t}]")
+    start, masses, absorbed, dropped = z0, np.ones(1), 0.0, 0.0
+    for _ in range(t):
+        right = masses * window.p[start - window.lo :: 2][: masses.size]
+        nxt = np.zeros(masses.size + 1)
+        nxt[:-1] = masses - right
+        nxt[1:] += right
+        start -= 1
+        if left_guard is not None and start == -left_guard:
+            absorbed += nxt[0]
+            nxt[0] = 0.0
+        a, b = 0, nxt.size
+        while a < b and nxt[a] < LAW_EPS:
+            a += 1
+        while b > a and nxt[b - 1] < LAW_EPS:
+            b -= 1
+        if a or b < nxt.size:
+            dropped += float(nxt[:a].sum() + nxt[b:].sum())
+        masses, start = nxt[a:b], start + 2 * a
+        if not masses.size:  # everything left was absorbed or dropped
+            break
+    return start, masses, float(absorbed), dropped
+
+
+def exact_position_distribution(window: EnvironmentWindow, z0: int, t: int) -> ExactPmf:
+    """Exact law of X(t) by ``position_law`` (no guard), cost O(t * band).
+
+    The window must cover [z0 - t, z0 + t].  The support is the band's cells,
+    which share the parity of z0 + t; the mass outside it is below (t+1) * 1e-30.
     """
     if t < 0:
         raise ModelError(f"exact_position_distribution: t must be >= 0, got {t}")
-    if z0 - t < window.lo or z0 + t > window.hi:
-        raise WindowTooSmallError(
-            f"window [{window.lo}, {window.hi}] must cover [{z0 - t}, {z0 + t}]"
-        )
-    size = 2 * t + 1
-    probs = np.zeros(size)
-    probs[t] = 1.0  # index i <-> position z0 - t + i
-    p = window.p[z0 - t - window.lo : z0 + t - window.lo + 1]
-    for _ in range(t):
-        nxt = np.zeros(size)
-        nxt[1:] += probs[:-1] * p[:-1]
-        nxt[:-1] += probs[1:] * (1.0 - p[1:])
-        probs = nxt
-    idx = np.arange(size)
-    keep = (idx - t) % 2 == t % 2  # offsets share the parity of t
-    support = z0 - t + idx[keep]
-    return ExactPmf(t=t, start=z0, support=support, probabilities=probs[keep])
+    start, masses, _, _ = position_law(window, z0, t)
+    return ExactPmf(t=t, start=z0, support=start + 2 * np.arange(masses.size), probabilities=masses)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ Batched engines run replicas in full-width chunks of 1024, chunk c on the
 generator spawned with key (c,), so every replica's result is a pure function
 of (master seed, replica index).  Hitting times T(n) use the Kesten-Kozlov-
 Spitzer branching decomposition, O(n + backtrack depth) per replica whatever
-the walk's speed; positions X(t) are stepped in lockstep.
+the walk's speed; positions X(t) invert ``oracle.position_law``, once per window.
 
 Guard breaches are hard errors, never silent reflections: reflecting at a
 boundary would bias crossing times.  The hitting engine raises the guard
@@ -27,6 +27,7 @@ from .errors import (
     StepBudgetExceededError,
     WindowTooSmallError,
 )
+from .oracle import position_law
 
 __all__ = [
     "SimulationBudget",
@@ -295,36 +296,6 @@ def hitting_chunk(args) -> np.ndarray:
     return n + 2 * left_steps.astype(np.int64)
 
 
-def position_chunk(args) -> np.ndarray:
-    """Lockstep positions X(t) for one full replica chunk after exactly t steps."""
-    window, z0, t_steps, master_seed, chunk_index, left_guard = args
-    rng = _chunk_rng(master_seed, chunk_index)
-    p = window.p
-    lo = window.lo
-    if z0 + t_steps > window.hi or -left_guard < lo:
-        raise WindowTooSmallError(
-            f"window [{lo}, {window.hi}] must cover [-{left_guard}, {z0 + t_steps}]"
-        )
-    x = np.full(REPLICA_CHUNK, z0, dtype=np.int64)
-    for _ in range(t_steps):
-        u = rng.random(REPLICA_CHUNK)
-        x += np.where(u < p[x - lo], 1, -1)
-        if x.min() <= -left_guard:
-            raise LeftGuardBreachError(
-                f"a walker reached the left guard {-left_guard}; enlarge the guard"
-            )
-    return x
-
-
-def _run_chunks(task_fn, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
-        return [task_fn(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(task_fn, tasks))
-
-
 def batch_hitting_times(
     window: EnvironmentWindow,
     n: int,
@@ -339,7 +310,13 @@ def batch_hitting_times(
         (window, n, master_seed, c, budget.left_guard, budget.max_steps)
         for c in range(_replica_chunks(n_replicas))
     ]
-    parts = _run_chunks(hitting_chunk, tasks, workers)
+    if workers <= 1 or len(tasks) <= 1:
+        parts = [hitting_chunk(t) for t in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            parts = list(pool.map(hitting_chunk, tasks))
     return np.concatenate(parts)[:n_replicas]
 
 
@@ -351,15 +328,22 @@ def batch_positions(
     budget: SimulationBudget,
     *,
     z0: int = 0,
-    workers: int = 1,
 ) -> np.ndarray:
-    """X(t) for n_replicas independent replicas under one quenched window."""
-    tasks = [
-        (window, z0, t_steps, master_seed, c, budget.left_guard)
-        for c in range(_replica_chunks(n_replicas))
-    ]
-    parts = _run_chunks(position_chunk, tasks, workers)
-    return np.concatenate(parts)[:n_replicas]
+    """X(t) for n_replicas independent replicas under one quenched window.
+
+    The law of X(t) absorbed at -left_guard is computed once, and each replica
+    inverts its CDF (absorbed mass first) with its own uniform.  A uniform in
+    the absorbed mass is a walker that reached the guard: any, in full-width
+    chunks, raises.
+    """
+    start, masses, absorbed, _ = position_law(window, z0, t_steps, budget.left_guard)
+    chunks = range(_replica_chunks(n_replicas))
+    u = np.concatenate([_chunk_rng(master_seed, c).random(REPLICA_CHUNK) for c in chunks])
+    if not masses.size or u.min() < absorbed:
+        guard = -budget.left_guard
+        raise LeftGuardBreachError(f"a walker reached the left guard {guard}; enlarge the guard")
+    cells = np.searchsorted(absorbed + np.cumsum(masses), u[:n_replicas], side="right")
+    return start + 2 * np.minimum(cells, masses.size - 1)
 
 
 def default_max_steps(n_or_t: int, mu_hint: float) -> int:

@@ -70,6 +70,20 @@ class TestSimulate:
             blobs.append((out / "samples.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_worker_counts_do_not_change_position_run(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"type": "iid_discrete", "atoms": [[0.8, 0.5], [0.6, 0.5]]},
+            {"kind": "clt_position", "t": 400, "replicas": 2100, "ks_threshold": 1.0},
+            {"master": 99},
+        )
+        blobs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["clt-position", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+            blobs.append([(out / name).read_bytes() for name in ("report.json", "samples.csv")])
+        assert blobs[0] == blobs[1]
+
 
 class TestErrors:
     def test_malformed_probability_names_field(self, tmp_path, capsys):

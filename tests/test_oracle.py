@@ -3,16 +3,20 @@ import pytest
 from scipy.linalg import solve_banded
 
 from rwre.analytics import site_mean, site_variance
-from rwre.environment import Constant, EnvironmentWindow, realize
+from rwre.environment import Constant, EnvironmentWindow, IidDiscrete, realize
 from rwre.errors import ModelError, WindowTooSmallError
 from rwre.oracle import (
+    LAW_EPS,
     exact_position_distribution,
     expected_hitting_times,
     forcing_terms,
     hitting_time_variances,
     mc_crossing_moments,
+    position_law,
     solve_finite_chain,
 )
+
+SLOW = IidDiscrete(atoms=((0.75, 0.5), (0.45, 0.5)))  # mu = 8, heavy crossing tails
 
 
 def banded_reference(window, a, n, f):
@@ -26,6 +30,39 @@ def banded_reference(window, a, n, f):
     ab[2, :-1] = -q[1:]   # subdiagonal:   -q_k h_{k-1}
     h = solve_banded((1, 1), ab, np.asarray(f, dtype=float))
     return np.concatenate([[0.0], h, [0.0]])
+
+
+def brute_force_law(window, z0, t, left_guard=None):
+    """Reference O(t^2) propagation on the full grid [z0 - t, z0 + t].
+
+    Returns the probabilities on that grid and the mass absorbed at
+    -left_guard (if any).
+    """
+    size = 2 * t + 1
+    probs = np.zeros(size)
+    probs[t] = 1.0  # index i <-> position z0 - t + i
+    p = window.p[z0 - t - window.lo : z0 + t - window.lo + 1]
+    guard = None if left_guard is None or -left_guard < z0 - t else -left_guard - (z0 - t)
+    absorbed = 0.0
+    for _ in range(t):
+        nxt = np.zeros(size)
+        nxt[1:] += probs[:-1] * p[:-1]
+        nxt[:-1] += probs[1:] * (1.0 - p[1:])
+        if guard is not None:
+            absorbed += nxt[guard]
+            nxt[guard] = 0.0
+        probs = nxt
+    return probs, absorbed
+
+
+def lockstep_positions(window, z0, t, n_replicas, seed):
+    """Reference sampler: n_replicas walkers stepped together, one uniform each per step."""
+    rng = np.random.default_rng(seed)
+    x = np.full(n_replicas, z0, dtype=np.int64)
+    for _ in range(t):
+        u = rng.random(n_replicas)
+        x += np.where(u < window.p[x - window.lo], 1, -1)
+    return x
 
 
 class TestSolveFiniteChain:
@@ -159,11 +196,9 @@ class TestExactPmf:
         assert np.all((pmf.support + 51) % 2 == 0)
 
     def test_against_monte_carlo(self, two_point):
-        from rwre.walk import SimulationBudget, batch_positions
-
         w = realize(two_point, -80, 60, seed=2)
         pmf = exact_position_distribution(w, 0, 50)
-        xs = batch_positions(w, 50, 31, 100_000, SimulationBudget(left_guard=60, max_steps=100))
+        xs = lockstep_positions(w, 0, 50, 100_000, seed=31)
         positions, counts = np.unique(xs, return_counts=True)
         assert pmf.total_variation(positions, counts) <= 0.02
 
@@ -171,6 +206,42 @@ class TestExactPmf:
         w = realize(Constant(0.75), -5, 5, seed=0)
         with pytest.raises(WindowTooSmallError):
             exact_position_distribution(w, 0, 6)
+
+
+class TestPositionLaw:
+    @pytest.mark.parametrize("t", [400, 2000])
+    @pytest.mark.parametrize("left_guard", [None, 5])
+    @pytest.mark.parametrize("law", ["two_point", "golden_qp", "slow"])
+    def test_against_brute_force(self, request, law, left_guard, t):
+        model = SLOW if law == "slow" else request.getfixturevalue(law)
+        w = realize(model, -t - 1, t + 1, seed=7)
+        start, masses, absorbed, dropped = position_law(w, 0, t, left_guard)
+        ref, ref_absorbed = brute_force_law(w, 0, t, left_guard)
+        dense = np.zeros(2 * t + 1)
+        dense[start + t + 2 * np.arange(masses.size)] = masses
+        assert (start + t) % 2 == 0
+        assert np.max(np.abs(dense - ref)) <= 1e-14
+        assert abs(absorbed - ref_absorbed) <= 1e-14
+        assert 0.0 <= dropped <= (t + 1) * LAW_EPS
+        assert abs(masses.sum() + absorbed + dropped - 1.0) <= 1e-14
+        assert masses[0] >= LAW_EPS and masses[-1] >= LAW_EPS
+        if left_guard is not None:
+            assert start > -left_guard and absorbed > 0.0
+
+    def test_all_mass_absorbed(self):
+        w = EnvironmentWindow.from_values([1e-40] * 30, lo=-10)
+        start, masses, absorbed, dropped = position_law(w, 0, 12, left_guard=3)
+        assert masses.size == 0
+        assert absorbed == pytest.approx(1.0, abs=1e-15)
+        assert dropped <= 13 * LAW_EPS
+
+    def test_guard_coverage_error(self):
+        w = realize(Constant(0.75), -5, 50, seed=0)
+        position_law(w, 0, 40, left_guard=5)
+        with pytest.raises(WindowTooSmallError):
+            position_law(w, 0, 40, left_guard=6)
+        with pytest.raises(WindowTooSmallError):
+            position_law(w, 0, 51, left_guard=5)
 
 
 class TestMcCrossingMoments:

@@ -243,6 +243,29 @@ class TestBatchEngines:
         assert abs(t_n.mean() - profile.hitting_centering(n)) <= 5.0 * np.sqrt(var / r)
         assert abs(var - float(profile.sigma2_array(n).sum())) <= 5.0 * var_se
 
+    def test_batch_position_pmf_on_mixed_window(self):
+        # p_{-1} = 0.5, p_0 = 0.75, p_1 = 0.9: every site enters X(1) or X(2)
+        mixed = EnvironmentWindow.from_values([0.9] * 99 + [0.5, 0.75] + [0.9] * 10, lo=-100)
+        r = 20 * REPLICA_CHUNK
+        laws = {1: {1: 0.75, -1: 0.25}, 2: {2: 0.675, 0: 0.2, -2: 0.125}}
+        for t, pmf in laws.items():
+            x = batch_positions(mixed, t, 78, r, BUDGET)
+            assert set(np.unique(x)) <= set(pmf)
+            for value, prob in pmf.items():
+                se = np.sqrt(prob * (1.0 - prob) / r)
+                assert abs(np.mean(x == value) - prob) <= 5.0 * se
+
+    def test_batch_position_left_guard_breach(self, window_75):
+        # each walker steps left of 0 at its first step with probability 1/4
+        with pytest.raises(LeftGuardBreachError):
+            batch_positions(window_75, 50, 1, 200, SimulationBudget(left_guard=1, max_steps=10**6))
+        x = batch_positions(window_75, 50, 1, 200, SimulationBudget(left_guard=60, max_steps=10**6))
+        assert np.all((x + 50) % 2 == 0) and x.min() > -50
+        # a walker that can only step left reaches the guard surely
+        sink = EnvironmentWindow.from_values([1e-40] * 30, lo=-10)
+        with pytest.raises(LeftGuardBreachError):
+            batch_positions(sink, 12, 1, 200, SimulationBudget(left_guard=3, max_steps=10**6))
+
     def test_batch_left_guard_breach(self, window_75):
         # each replica's walker steps left of 0 with probability 1/4
         with pytest.raises(LeftGuardBreachError):
