@@ -17,6 +17,12 @@ one-step recursions
 seeded deep enough in the window that the seeding error is attenuated below
 1e-20.  The recursions drive the bulk ``MomentProfile``; the series functions
 cross-check them site by site.
+
+The profile runs the recursions as a block scan: each block's affine
+transfer carries start values across block boundaries, and every block then
+re-runs the one-step recursions from its start, all blocks at once in numpy.
+Each site gets the loop's floating-point operations (the square is x*x), so
+only a carried block start can differ from the loop's, in the last bits.
 """
 
 from __future__ import annotations
@@ -68,6 +74,10 @@ __all__ = [
 # seed attenuation target for the left-to-right recursions: e^-46 ~ 1e-20
 _BURN_LOG = 46.0
 _MIN_BURN = 32
+# profile block scan: sites per chunk (working arrays ~1 MB) and per block;
+# a run of up to _SCAN_BLOCK sites is one block, i.e. the sequential loop
+_SCAN_CHUNK = 1 << 14
+_SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -252,15 +262,81 @@ def _burn_start(window: EnvironmentWindow, k0: int) -> int:
     )
 
 
+def _scan_chunk(p, state, mu_out, var_out, h_out):
+    """Block scan of the one-step recursions over sites with probabilities p.
+
+    ``state`` is (mean, variance, H sum, H compensation) just left of p[0];
+    the outputs are filled and the state after p[-1] is returned.  Blocks of
+    bs sites are the columns of (bs, nb) arrays, so row j holds the j-th site
+    of every block and each numpy step advances all blocks by one site.
+    """
+    m = len(p)
+    bs = min(m, _SCAN_BLOCK)
+    nb = -(-m // bs)
+    q = np.concatenate([p, np.full(nb * bs - m, 0.5)])  # pads the last block
+    q = np.ascontiguousarray(q.reshape(nb, bs).T)
+    a = (1.0 - q) / q
+    inv_p = 1.0 / q
+    prod = np.prod(a, axis=0).tolist()  # underflow to 0 only drops a forgotten start
+    mu0, var0, s, c = state
+
+    def carry(offset, x):
+        # block transfer x -> prod*x + offset: every term is positive, so the
+        # carried starts cancel nothing
+        starts = np.empty(nb)
+        for b, (pb, ob) in enumerate(zip(prod, offset.tolist())):
+            starts[b] = x
+            x = pb * x + ob
+        return starts
+
+    # means: offsets from a zero start, carry, then the loop's mu = a*mu + 1/p
+    off = np.zeros(nb)
+    for j in range(bs):
+        off = a[j] * off + inv_p[j]
+    prev = mu_start = carry(off, mu0)
+    mu = np.empty((bs, nb))
+    for j in range(bs):
+        prev = mu[j] = a[j] * prev + inv_p[j]
+    # variances: var holds (mu_prev + 1)^2 / p until the loop's
+    # var = a*(var + (mu_prev + 1)^2 / p) overwrites it row by row
+    var = (np.vstack([mu_start, mu[:-1]]) + 1.0) ** 2 * inv_p
+    off = np.zeros(nb)
+    for j in range(bs):
+        off = a[j] * (off + var[j])
+    prev = carry(off, var0)
+    for j in range(bs):
+        prev = var[j] = a[j] * (prev + var[j])
+    mu_out[:] = mu.T.reshape(-1)[:m]
+    var_out[:] = var.T.reshape(-1)[:m]
+    # H: the loop's Neumaier sum.  Its running sum adds in site order, as
+    # cumsum does, and each addition's rounding error is exact (TwoSum), so
+    # both sequences are the loop's bit for bit.
+    run = np.cumsum(np.concatenate(([s], mu_out)))
+    z = run[1:] - run[:-1]
+    err = (run[:-1] - (run[1:] - z)) + (mu_out - z)
+    comp = np.cumsum(np.concatenate(([c], err)))
+    np.add(run[1:], comp[1:], out=h_out)
+    return float(mu_out[-1]), float(var_out[-1]), float(run[-1]), float(comp[-1])
+
+
+def _moment_scan(p, state, mu_out, var_out, h_out):
+    """``_scan_chunk`` over p in chunks of _SCAN_CHUNK sites."""
+    for lo in range(0, len(p), _SCAN_CHUNK):
+        hi = lo + _SCAN_CHUNK
+        state = _scan_chunk(p[lo:hi], state, mu_out[lo:hi], var_out[lo:hi], h_out[lo:hi])
+    return state
+
+
 class MomentProfile:
     """Lazily grown per-site moments and compensated prefix sums on k >= 0.
 
     Crossing means and variances are produced by the one-step recursions,
-    warmed up left of site 0 so the seeding is attenuated below ~1e-20.  The
-    prefix of means (the expected hitting time H) is accumulated with
-    Neumaier compensation, so centerings stay accurate far beyond what plain
-    float summation guarantees.  Instances are not thread-safe while growing;
-    share them read-only or confine them to one worker.
+    warmed up left of site 0 so the seeding is attenuated below ~1e-20; the
+    warm-up and the growth both run the block scan.  The prefix of means (the
+    expected hitting time H) is accumulated with Neumaier compensation, so
+    centerings stay accurate far beyond what plain float summation
+    guarantees.  Instances are not thread-safe while growing; share them
+    read-only or confine them to one worker.
     """
 
     _BLOCK = 1024
@@ -269,20 +345,12 @@ class MomentProfile:
         self.window = window
         self.tol = tol
         start = _burn_start(window, 0)
-        mu = 1.0
-        var = 0.0
-        for i in range(start + 1, 0):
-            a = window.odds(i)
-            inv_p = 1.0 / window.site(i)
-            var = a * (var + (mu + 1.0) ** 2 * inv_p)
-            mu = a * mu + inv_p
-        self._state_mu = mu  # value at site -1 (or the seed when start = -1)
-        self._state_var = var
+        warm = window.p[start + 1 - window.lo : -window.lo]  # sites start+1..-1
+        mu, var, _, _ = _moment_scan(warm, (1.0, 0.0, 0.0, 0.0), *np.empty((3, len(warm))))
+        self._state = (mu, var, 0.0, 0.0)  # at site -1 (or the seed when start = -1)
         self._mu = np.empty(0)
         self._sigma2 = np.empty(0)
         self._prefix = np.zeros(1)  # prefix[m] = H(m)
-        self._sum = 0.0
-        self._comp = 0.0
 
     @property
     def size(self) -> int:
@@ -297,39 +365,14 @@ class MomentProfile:
             raise WindowTooSmallError(
                 f"profile needs sites up to {upto - 1} but window ends at {self.window.hi}"
             )
-        n_new = upto - have
-        mu_new = np.empty(n_new)
-        sg_new = np.empty(n_new)
-        pref_new = np.empty(n_new)
-        p = self.window.p
+        self._mu = np.concatenate([self._mu, np.empty(upto - have)])
+        self._sigma2 = np.concatenate([self._sigma2, np.empty(upto - have)])
+        self._prefix = np.concatenate([self._prefix, np.empty(upto - have)])
         lo = self.window.lo
-        mu = self._state_mu
-        var = self._state_var
-        s = self._sum
-        c = self._comp
-        for idx in range(n_new):
-            k = have + idx
-            pk = p[k - lo]
-            a = (1.0 - pk) / pk
-            inv_p = 1.0 / pk
-            var = a * (var + (mu + 1.0) ** 2 * inv_p)
-            mu = a * mu + inv_p
-            mu_new[idx] = mu
-            sg_new[idx] = var
-            t = s + mu
-            if abs(s) >= mu:
-                c += (s - t) + mu
-            else:
-                c += (mu - t) + s
-            s = t
-            pref_new[idx] = s + c
-        self._state_mu = mu
-        self._state_var = var
-        self._sum = s
-        self._comp = c
-        self._mu = np.concatenate([self._mu, mu_new])
-        self._sigma2 = np.concatenate([self._sigma2, sg_new])
-        self._prefix = np.concatenate([self._prefix, pref_new])
+        self._state = _moment_scan(
+            self.window.p[have - lo : upto - lo], self._state,
+            self._mu[have:], self._sigma2[have:], self._prefix[have + 1 :],
+        )
 
     def mu_array(self, n: int) -> np.ndarray:
         self._grow(n)
@@ -338,12 +381,6 @@ class MomentProfile:
     def sigma2_array(self, n: int) -> np.ndarray:
         self._grow(n)
         return self._sigma2[:n]
-
-    def mu(self, k: int) -> float:
-        if k < 0:
-            raise IndexRangeError(f"profile covers k >= 0, got {k}")
-        self._grow(k + 1)
-        return float(self._mu[k])
 
     def hitting_centering(self, n: float) -> float:
         """Expected hitting time H(n) = sum_{k < floor(n)} mu_k; H(0) = 0."""
@@ -396,26 +433,22 @@ class CenteringValues:
     centering_above: float | None = None
 
 
-def hitting_centering(window: EnvironmentWindow, n: float, *, tol: float = 1e-12,
-                      profile: MomentProfile | None = None) -> float:
+def hitting_centering(window: EnvironmentWindow, n: float, *, tol: float = 1e-12) -> float:
     """Expected hitting time of site floor(n) from 0 (compensated summation)."""
-    profile = profile or MomentProfile(window, tol=tol)
-    return profile.hitting_centering(n)
+    return MomentProfile(window, tol=tol).hitting_centering(n)
 
 
 def explicit_centering(window: EnvironmentWindow, summary_or_mu, t: float, *,
-                       tol: float = 1e-12, profile: MomentProfile | None = None) -> float:
+                       tol: float = 1e-12) -> float:
     """Closed-form random centering for the position at time t."""
     mu_global = getattr(summary_or_mu, "mu", summary_or_mu)
-    profile = profile or MomentProfile(window, tol=tol)
-    return profile.explicit_center(t, float(mu_global))
+    return MomentProfile(window, tol=tol).explicit_center(t, float(mu_global))
 
 
-def implicit_centering(window: EnvironmentWindow, t: float, *, tol: float = 1e-12,
-                       profile: MomentProfile | None = None) -> CenteringValues:
+def implicit_centering(window: EnvironmentWindow, t: float, *,
+                       tol: float = 1e-12) -> CenteringValues:
     """Integer centering bracketing t between consecutive expected hitting times."""
-    profile = profile or MomentProfile(window, tol=tol)
-    return profile.implicit_center(t)
+    return MomentProfile(window, tol=tol).implicit_center(t)
 
 
 @dataclass(frozen=True)
@@ -433,7 +466,6 @@ def fluctuation_series(
     n_grid,
     *,
     tol: float = 1e-12,
-    profile: MomentProfile | None = None,
 ) -> FluctuationSeries:
     """Single left-to-right pass over the centered crossing means.
 
@@ -444,9 +476,8 @@ def fluctuation_series(
     if any(n < 1 for n in n_grid):
         raise IndexRangeError("fluctuation grid entries must be >= 1")
     mu_global = float(getattr(summary_or_mu, "mu", summary_or_mu))
-    profile = profile or MomentProfile(window, tol=tol)
     n_max = max(n_grid)
-    centered = profile.mu_array(n_max) - mu_global
+    centered = MomentProfile(window, tol=tol).mu_array(n_max) - mu_global
     partial = np.cumsum(centered)
     running = np.maximum.accumulate(np.abs(partial))
     idx = np.array(n_grid) - 1

@@ -47,7 +47,6 @@ __all__ = [
     "mean_log_odds",
     "classify",
     "odds_growth_rate",
-    "finite_window_growth_rate",
     "check_conditions",
     "model_to_dict",
     "model_from_dict",
@@ -478,37 +477,6 @@ def odds_growth_rate(
             f"kappa={kappa} moment estimate dominated by a single sample; not stabilizing"
         )
     return Estimate(float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(len(terms))), "monte-carlo")
-
-
-def finite_window_growth_rate(
-    model: EnvironmentModel,
-    kappa: float,
-    n: int,
-    *,
-    replicates: int = 256,
-    seed: int = 0,
-) -> Estimate:
-    """Plug-in finite-n estimate (E prod_{j<=n} A_j^kappa)^(1/n).
-
-    This is a labeled finite-n surrogate, not the limit itself: no general
-    recipe exists for estimating the limiting growth rate of an arbitrary
-    ergodic law from finite data.  Averaging is done in log space for
-    stability.
-    """
-    if kappa < 0:
-        raise ModelError(f"kappa: must be non-negative, got {kappa}")
-    if n < 1 or replicates < 1:
-        raise ModelError("finite_window_growth_rate: n and replicates must be positive")
-    log_products = np.empty(replicates)
-    for r in range(replicates):
-        child = int(
-            np.random.SeedSequence(entropy=seed, spawn_key=(r,)).generate_state(1, np.uint64)[0]
-        )
-        window = realize(model, 1, n, child)
-        log_products[r] = kappa * float(np.log(window.odds_array()).sum())
-    m = log_products.max()
-    log_mean = m + math.log(np.exp(log_products - m).mean())
-    return Estimate(math.exp(log_mean / n), float("nan"), f"finite-n estimate (n={n})")
 
 
 # ---------------------------------------------------------------------------

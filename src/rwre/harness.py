@@ -74,7 +74,8 @@ class ExperimentConfig:
 
     Grids must be sorted, the replica count is at least 100, and the
     diagnostic exponent is positive.  Seeds not given explicitly are derived
-    as children of the master seed.
+    as children of the master seed.  ``max_steps`` caps hitting, LLN and
+    trajectory runs only: X(t) always takes exactly t steps.
     """
 
     model: EnvironmentModel
@@ -179,10 +180,8 @@ def _cdf_errors(z: np.ndarray, x_grid) -> tuple:
     return tuple(out)
 
 
-def _budget_for(config: ExperimentConfig, mu_hint: float, scale: int) -> SimulationBudget:
-    guard = config.left_guard if config.left_guard is not None else suggested_left_guard(config.model)
-    max_steps = config.max_steps if config.max_steps is not None else walk.default_max_steps(scale, mu_hint)
-    return SimulationBudget(left_guard=guard, max_steps=max_steps)
+def _left_guard(config: ExperimentConfig) -> int:
+    return config.left_guard if config.left_guard is not None else suggested_left_guard(config.model)
 
 
 def _experiment_window(config: ExperimentConfig, right: int, env_seed: int,
@@ -200,7 +199,8 @@ def clt_hitting(config: ExperimentConfig) -> ExperimentReport:
     """
     summ = analytics.summary(config.model, budget=config.summary_budget, tol=config.tol)
     n = config.n
-    budget = _budget_for(config, summ.mu, n)
+    max_steps = config.max_steps if config.max_steps is not None else walk.default_max_steps(n, summ.mu)
+    budget = SimulationBudget(left_guard=_left_guard(config), max_steps=max_steps)
     ks_list = []
     primary = None
     for rep in range(config.env_replicates):
@@ -253,12 +253,12 @@ def clt_position(config: ExperimentConfig) -> ExperimentReport:
     """
     summ = analytics.summary(config.model, budget=config.summary_budget, tol=config.tol)
     t = config.t
-    budget = _budget_for(config, summ.mu, t)
+    guard = _left_guard(config)
     ks_list = []
     primary = None
     for rep in range(config.env_replicates):
         env_seed = config.resolved_env_seed(rep)
-        window = _experiment_window(config, t + 1, env_seed, budget.left_guard)
+        window = _experiment_window(config, t + 1, env_seed, guard)
         profile = MomentProfile(window, tol=config.tol)
         if config.centering == "explicit":
             centering = profile.explicit_center(t, summ.mu)
@@ -270,7 +270,7 @@ def clt_position(config: ExperimentConfig) -> ExperimentReport:
         sigma_star = math.sqrt(window_mu**-3 * window_sigma2)
         scale_value = math.sqrt(t) * sigma_star
         samples = walk.batch_positions(window, t, config.resolved_walk_seed(),
-                                       config.replicas, budget)
+                                       config.replicas, guard)
         z = (samples - centering) / scale_value
         ks = ks_distance(z)
         ks_list.append(ks)
@@ -339,7 +339,7 @@ def lln_check(config: ExperimentConfig, *, rel_tol: float | None = None) -> LlnR
     t_max = config.t
     n_grid = config.n_grid or _geometric_grid(n_max)
     t_grid = config.t_grid or _geometric_grid(t_max)
-    guard = config.left_guard if config.left_guard is not None else suggested_left_guard(config.model)
+    guard = _left_guard(config)
     mu_hint = mu if mu is not None else 10.0
     max_steps = config.max_steps or (walk.default_max_steps(n_max, mu_hint) + 2 * t_max)
     budget = SimulationBudget(left_guard=guard, max_steps=max_steps)
@@ -635,7 +635,7 @@ def coupling_identity_check(
     """
     n_goal = config.n
     summ_mu_hint = analytics.summary(config.model, budget=50_000, tol=config.tol).mu
-    guard = config.left_guard if config.left_guard is not None else suggested_left_guard(config.model)
+    guard = _left_guard(config)
     budget = SimulationBudget(left_guard=guard, max_steps=walk.default_max_steps(n_goal, summ_mu_hint))
     env_seed = config.resolved_env_seed()
     window = _experiment_window(config, n_goal + 1, env_seed, guard)

@@ -325,7 +325,7 @@ def batch_positions(
     t_steps: int,
     master_seed: int,
     n_replicas: int,
-    budget: SimulationBudget,
+    left_guard: int,
     *,
     z0: int = 0,
 ) -> np.ndarray:
@@ -334,14 +334,15 @@ def batch_positions(
     The law of X(t) absorbed at -left_guard is computed once, and each replica
     inverts its CDF (absorbed mass first) with its own uniform.  A uniform in
     the absorbed mass is a walker that reached the guard: any, in full-width
-    chunks, raises.
+    chunks, raises.  X(t) always takes exactly t steps, so no step cap applies.
     """
-    start, masses, absorbed, _ = position_law(window, z0, t_steps, budget.left_guard)
+    if left_guard < 1:
+        raise ModelError(f"left_guard: must be >= 1, got {left_guard}")
+    start, masses, absorbed, _ = position_law(window, z0, t_steps, left_guard)
     chunks = range(_replica_chunks(n_replicas))
     u = np.concatenate([_chunk_rng(master_seed, c).random(REPLICA_CHUNK) for c in chunks])
     if not masses.size or u.min() < absorbed:
-        guard = -budget.left_guard
-        raise LeftGuardBreachError(f"a walker reached the left guard {guard}; enlarge the guard")
+        raise LeftGuardBreachError(f"a walker reached the left guard {-left_guard}; enlarge the guard")
     cells = np.searchsorted(absorbed + np.cumsum(masses), u[:n_replicas], side="right")
     return start + 2 * np.minimum(cells, masses.size - 1)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from rwre.analytics import (
     MomentProfile,
+    _burn_start,
     closed_form_variance,
     closed_form_variance_printed,
     explicit_centering,
@@ -18,7 +20,14 @@ from rwre.analytics import (
     site_variance,
     summary,
 )
-from rwre.environment import Constant, realize
+from rwre.environment import (
+    Constant,
+    IidDiscrete,
+    IidParametric,
+    QuasiPeriodic,
+    realize,
+    suggested_burn_in,
+)
 from rwre.errors import (
     IndexRangeError,
     NonSummableError,
@@ -113,6 +122,116 @@ class TestProfile:
         profile = MomentProfile(w)
         with pytest.raises(WindowTooSmallError):
             profile.mu_array(200)
+
+
+def loop_profile(window, n):
+    """Reference: the sequential one-step recursions and Neumaier-compensated
+    prefix sum that ``MomentProfile`` ran site by site before the block scan.
+
+    Returns mu_k, sigma2_k for k < n and H(m) for m <= n.
+    """
+    start = _burn_start(window, 0)
+    mu = 1.0
+    var = 0.0
+    for i in range(start + 1, 0):
+        a = window.odds(i)
+        inv_p = 1.0 / window.site(i)
+        var = a * (var + (mu + 1.0) ** 2 * inv_p)
+        mu = a * mu + inv_p
+    mu_out = np.empty(n)
+    sg_out = np.empty(n)
+    prefix = np.zeros(n + 1)
+    p = window.p
+    s = 0.0
+    c = 0.0
+    for k in range(n):
+        pk = p[k - window.lo]
+        a = (1.0 - pk) / pk
+        inv_p = 1.0 / pk
+        var = a * (var + (mu + 1.0) ** 2 * inv_p)
+        mu = a * mu + inv_p
+        mu_out[k] = mu
+        sg_out[k] = var
+        t = s + mu
+        if abs(s) >= mu:
+            c += (s - t) + mu
+        else:
+            c += (mu - t) + s
+        s = t
+        prefix[k + 1] = s + c
+    return mu_out, sg_out, prefix
+
+
+SCAN_LAWS = {
+    # the benchmark's four laws
+    "two-point": IidDiscrete(((0.8, 0.5), (0.6, 0.5))),
+    "golden": QuasiPeriodic(alpha=(math.sqrt(5.0) - 1.0) / 2.0, omega0=0.0, coeffs=(0.7, 0.1)),
+    "slow": IidDiscrete(((0.75, 0.5), (0.45, 0.5))),
+    "beta": IidParametric(family="beta", p_lo=0.55, p_hi=0.95, params=(("a", 2.0), ("b", 2.0))),
+    "constant-0.75": Constant(0.75),
+    # odds 1e-5: products of odds underflow inside one block
+    "constant-0.99999": Constant(0.99999),
+    # the zero_speed fixture: order-1 growth rate > 1, so mu has heavy spikes
+    "zero-speed": IidDiscrete(((0.9, 0.5), (0.15, 0.5))),
+    # rare sites with odds ~1e4
+    "rare-tiny-p": IidDiscrete(((1e-4, 0.001), (0.8, 0.999))),
+}
+SCAN_SITES = 200_000
+
+
+def scan_window(law, n=SCAN_SITES, seed=3):
+    return realize(law, -suggested_burn_in(law), n, seed)
+
+
+class TestBlockScan:
+    @pytest.mark.parametrize("name", sorted(SCAN_LAWS))
+    def test_matches_sequential_loop(self, name):
+        w = scan_window(SCAN_LAWS[name])
+        ref_mu, ref_sg, ref_h = loop_profile(w, SCAN_SITES)
+        profile = MomentProfile(w)
+        mu = profile.mu_array(SCAN_SITES)
+        sg = profile.sigma2_array(SCAN_SITES)
+        h = np.array([profile.hitting_centering(m) for m in range(SCAN_SITES + 1)])
+        for got, ref in ((mu, ref_mu), (sg, ref_sg), (h[1:], ref_h[1:])):
+            assert np.isfinite(got).all()
+            assert np.max(np.abs(got - ref) / ref) <= 1e-13
+        assert h[0] == 0.0
+
+    def test_constant_window_fixed_point(self):
+        # the loop settles on the float fixed point just below 2 (1 ulp) and
+        # the scan carries it exactly; H(m) is m * mu correctly rounded
+        w = scan_window(Constant(0.75), n=50_000)
+        ref_mu, ref_sg, _ = loop_profile(w, 50_000)
+        profile = MomentProfile(w)
+        mu = profile.mu_array(50_000)
+        assert np.array_equal(mu, ref_mu)
+        assert np.all(mu == mu[0]) and abs(mu[0] - 2.0) <= np.spacing(2.0)
+        assert np.all(profile.sigma2_array(50_000) == 6.0) and np.all(ref_sg == 6.0)
+        exact = Fraction(float(mu[0]))
+        for m in range(50_001):
+            assert profile.hitting_centering(m) == float(exact * m)
+
+    @pytest.mark.parametrize("name", ["two-point", "slow", "zero-speed"])
+    def test_piecewise_growth_equals_one_shot(self, name):
+        w = scan_window(SCAN_LAWS[name])
+        whole = MomentProfile(w)
+        mu = whole.mu_array(SCAN_SITES).copy()
+        sg = whole.sigma2_array(SCAN_SITES).copy()
+        h = np.array([whole.hitting_centering(m) for m in range(SCAN_SITES + 1)])
+        pieces = MomentProfile(w)
+        for upto in (1, 37, 5000, SCAN_SITES):
+            pieces.mu_array(upto)
+            assert pieces.size == upto
+            pieces.hitting_centering(upto // 2)  # no growth below the size
+            assert pieces.size == upto
+        got_h = np.array([pieces.hitting_centering(m) for m in range(SCAN_SITES + 1)])
+        for got, ref in ((pieces.mu_array(SCAN_SITES), mu),
+                         (pieces.sigma2_array(SCAN_SITES), sg), (got_h[1:], h[1:])):
+            assert np.max(np.abs(got - ref) / ref) <= 1e-13
+        if name == "two-point":
+            # fast contraction: every carried block start is the loop's value
+            assert np.array_equal(pieces.mu_array(SCAN_SITES), mu)
+            assert np.array_equal(got_h, h)
 
 
 class TestHittingCentering:

@@ -13,7 +13,6 @@ from rwre.environment import (
     Regime,
     check_conditions,
     classify,
-    finite_window_growth_rate,
     mean_log_odds,
     model_from_dict,
     model_to_dict,
@@ -201,12 +200,6 @@ class TestGrowthRate:
             values = [math.log(odds_growth_rate(model, k).value) for k in kappas]
             second = [values[i + 1] - 2 * values[i] + values[i - 1] for i in range(1, 8)]
             assert min(second) >= -1e-9, f"log growth rate not convex for {model}"
-
-    def test_finite_window_estimate_labeled(self, two_point):
-        est = finite_window_growth_rate(two_point, 1.0, n=200, replicates=64, seed=0)
-        assert "finite-n" in est.method
-        # plug-in estimate should land near the exact iid value
-        assert est.value == pytest.approx(odds_growth_rate(two_point, 1.0).value, rel=0.2)
 
 
 class TestConditions:

@@ -11,6 +11,7 @@ from rwre.environment import (
 )
 from rwre.errors import (
     LeftGuardBreachError,
+    ModelError,
     RightGuardBreachError,
     StepBudgetExceededError,
     WindowTooSmallError,
@@ -133,8 +134,7 @@ class TestSamplePosition:
         assert ups / n == pytest.approx(0.75, abs=0.01)
 
     def test_speed(self, window_75):
-        budget = SimulationBudget(left_guard=80, max_steps=50_000)
-        x = batch_positions(window_75, 2000, 7, 200, budget)
+        x = batch_positions(window_75, 2000, 7, 200, 80)
         assert np.mean(x / 2000.0) == pytest.approx(0.5, abs=0.01)
 
     def test_joint_mode_records_both(self, window_75):
@@ -194,8 +194,8 @@ class TestBatchEngines:
         small = batch_hitting_times(window_75, 150, 42, 200, budget)
         large = batch_hitting_times(window_75, 150, 42, 1500, budget)
         assert np.array_equal(small, large[:200])
-        xs = batch_positions(window_75, 300, 42, 200, budget)
-        xl = batch_positions(window_75, 300, 42, 2 * REPLICA_CHUNK, budget)
+        xs = batch_positions(window_75, 300, 42, 200, budget.left_guard)
+        xl = batch_positions(window_75, 300, 42, 2 * REPLICA_CHUNK, budget.left_guard)
         assert np.array_equal(xs, xl[:200])
 
     def test_quenched_variance_matches_site_sums(self, two_point):
@@ -216,7 +216,7 @@ class TestBatchEngines:
         with pytest.raises(WindowTooSmallError):
             batch_hitting_times(window_75, 5000, 1, 200, budget)
         with pytest.raises(WindowTooSmallError):
-            batch_positions(window_75, 5000, 1, 200, budget)
+            batch_positions(window_75, 5000, 1, 200, budget.left_guard)
 
     def test_batch_crossing_time_pmf(self, window_75):
         # T(1): P(T=1) = p_0 and P(T=3) = (1-p_0) p_{-1} p_0
@@ -249,7 +249,7 @@ class TestBatchEngines:
         r = 20 * REPLICA_CHUNK
         laws = {1: {1: 0.75, -1: 0.25}, 2: {2: 0.675, 0: 0.2, -2: 0.125}}
         for t, pmf in laws.items():
-            x = batch_positions(mixed, t, 78, r, BUDGET)
+            x = batch_positions(mixed, t, 78, r, BUDGET.left_guard)
             assert set(np.unique(x)) <= set(pmf)
             for value, prob in pmf.items():
                 se = np.sqrt(prob * (1.0 - prob) / r)
@@ -258,13 +258,15 @@ class TestBatchEngines:
     def test_batch_position_left_guard_breach(self, window_75):
         # each walker steps left of 0 at its first step with probability 1/4
         with pytest.raises(LeftGuardBreachError):
-            batch_positions(window_75, 50, 1, 200, SimulationBudget(left_guard=1, max_steps=10**6))
-        x = batch_positions(window_75, 50, 1, 200, SimulationBudget(left_guard=60, max_steps=10**6))
+            batch_positions(window_75, 50, 1, 200, 1)
+        x = batch_positions(window_75, 50, 1, 200, 60)
         assert np.all((x + 50) % 2 == 0) and x.min() > -50
+        with pytest.raises(ModelError):
+            batch_positions(window_75, 50, 1, 200, 0)
         # a walker that can only step left reaches the guard surely
         sink = EnvironmentWindow.from_values([1e-40] * 30, lo=-10)
         with pytest.raises(LeftGuardBreachError):
-            batch_positions(sink, 12, 1, 200, SimulationBudget(left_guard=3, max_steps=10**6))
+            batch_positions(sink, 12, 1, 200, 3)
 
     def test_batch_left_guard_breach(self, window_75):
         # each replica's walker steps left of 0 with probability 1/4
