@@ -39,7 +39,6 @@ from .errors import (
     GuardBreachError,
     IndexRangeError,
     ModelError,
-    MomentDivergenceError,
     NonSummableError,
     NotCltEligibleError,
     QuadratureError,
@@ -246,7 +245,6 @@ def _analyze_report(config: ExperimentConfig) -> dict:
         "classification": {
             "regime": cls.regime.value,
             "lambda": cls.log_odds_mean.value,
-            "lambda_se": cls.log_odds_mean.se,
             "tolerance": cls.tolerance,
             "within_tolerance": cls.within_tolerance,
             "method": cls.log_odds_mean.method,
@@ -260,7 +258,7 @@ def _analyze_report(config: ExperimentConfig) -> dict:
         "conditions": dataclasses.asdict(check_conditions(model, 3.0)),
     }
     try:
-        summ = analytics.summary(model, budget=config.summary_budget, tol=config.tol)
+        summ = analytics.summary(model, budget=config.summary_budget)
         payload["summary"] = dataclasses.asdict(summ)
         payload["eligible"] = True
     except NotCltEligibleError as exc:
@@ -302,7 +300,7 @@ def _oracle_check_report(config: ExperimentConfig) -> dict:
         mu_gap = max(mu_gap, abs(site.mu - mu_inc[k - a]))
         sg_gap = max(sg_gap, abs(site.sigma2 - v_inc[k - a]))
     forcing = oracle.forcing_terms(window, e)
-    summ = analytics.summary(model, budget=config.summary_budget, tol=config.tol)
+    summ = analytics.summary(model, budget=config.summary_budget)
     mc_n = max(200_000, config.replicas)
     mc = oracle.mc_crossing_moments(window, 0, mc_n, config.resolved_walk_seed())
     payload.update(
@@ -437,7 +435,6 @@ def main(argv=None) -> int:
     except (
         NonSummableError,
         WindowTooSmallError,
-        MomentDivergenceError,
         QuadratureError,
         IndexRangeError,
     ) as exc:

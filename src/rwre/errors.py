@@ -32,12 +32,8 @@ class WindowTooSmallError(RwreError):
     """The realized window does not extend far enough for the computation."""
 
 
-class MomentDivergenceError(RwreError):
-    """A Monte Carlo moment estimate failed to stabilize."""
-
-
 class QuadratureError(RwreError):
-    """Circle-average quadrature failed to converge."""
+    """A law-functional quadrature failed to converge."""
 
 
 class IndexRangeError(RwreError):

@@ -22,6 +22,7 @@ from .environment import (
     EnvironmentModel,
     EnvironmentWindow,
     mean_log_odds,
+    odds_growth_rate,
     realize,
     suggested_burn_in,
     suggested_left_guard,
@@ -184,10 +185,58 @@ def _left_guard(config: ExperimentConfig) -> int:
     return config.left_guard if config.left_guard is not None else suggested_left_guard(config.model)
 
 
+def _budget(config: ExperimentConfig, default_max_steps: int) -> SimulationBudget:
+    """Step cap ``config.max_steps`` when set (0 is rejected), else the driver's default."""
+    max_steps = config.max_steps if config.max_steps is not None else default_max_steps
+    return SimulationBudget(left_guard=_left_guard(config), max_steps=max_steps)
+
+
 def _experiment_window(config: ExperimentConfig, right: int, env_seed: int,
                        guard: int) -> EnvironmentWindow:
     margin = max(guard + 2, suggested_burn_in(config.model))
     return realize(config.model, -margin, right, env_seed)
+
+
+def _clt_experiment(config: ExperimentConfig, kind: str, scale: int, centering: str | None,
+                summ: SummaryStatistics, replicate) -> ExperimentReport:
+    """Run every environment replicate and report the first one.
+
+    ``replicate(env_seed)`` realizes the window and returns (samples,
+    centering value, scale value, window sigma2, window mu); each replicate's
+    KS distance to the standard normal goes into ``ks_distribution``.
+    """
+    ks_list = []
+    primary = None
+    for rep in range(config.env_replicates):
+        env_seed = config.resolved_env_seed(rep)
+        samples, center, scale_value, window_sigma2, window_mu = replicate(env_seed)
+        z = (samples - center) / scale_value
+        ks_list.append(ks_distance(z))
+        if rep == 0:
+            primary = (samples, z, center, scale_value, window_sigma2, window_mu, env_seed)
+    samples, z, center, scale_value, window_sigma2, window_mu, env_seed = primary
+    ks = ks_list[0]
+    threshold = config.ks_threshold if config.ks_threshold is not None else default_ks_threshold(config.replicas)
+    return ExperimentReport(
+        kind=kind,
+        scale=scale,
+        replicas=config.replicas,
+        centering=centering,
+        ks_distance=ks,
+        threshold=threshold,
+        verdict=ks <= threshold,
+        raw_samples=samples,
+        standardized=z,
+        centering_value=center,
+        scale_value=scale_value,
+        summary=summ,
+        window_sigma2=window_sigma2,
+        window_mu=window_mu,
+        cdf_errors=_cdf_errors(z, config.x_grid),
+        env_seed=env_seed,
+        walk_seed=config.resolved_walk_seed(),
+        ks_distribution=tuple(ks_list),
+    )
 
 
 def clt_hitting(config: ExperimentConfig) -> ExperimentReport:
@@ -197,51 +246,22 @@ def clt_hitting(config: ExperimentConfig) -> ExperimentReport:
     window-averaged crossing variance (the self-consistent quenched scale),
     then measures the KS distance to the standard normal CDF.
     """
-    summ = analytics.summary(config.model, budget=config.summary_budget, tol=config.tol)
+    summ = analytics.summary(config.model, budget=config.summary_budget)
     n = config.n
-    max_steps = config.max_steps if config.max_steps is not None else walk.default_max_steps(n, summ.mu)
-    budget = SimulationBudget(left_guard=_left_guard(config), max_steps=max_steps)
-    ks_list = []
-    primary = None
-    for rep in range(config.env_replicates):
-        env_seed = config.resolved_env_seed(rep)
+    budget = _budget(config, walk.default_max_steps(n, summ.mu))
+
+    def replicate(env_seed):
         window = _experiment_window(config, n + 1, env_seed, budget.left_guard)
-        profile = MomentProfile(window, tol=config.tol)
+        profile = MomentProfile(window)
         centering = profile.hitting_centering(n)
         window_sigma2 = float(profile.sigma2_array(n).mean())
-        window_mu = centering / n
-        scale_value = math.sqrt(n * window_sigma2)
         samples = walk.batch_hitting_times(
             window, n, config.resolved_walk_seed(), config.replicas, budget,
             workers=config.workers,
         )
-        z = (samples - centering) / scale_value
-        ks = ks_distance(z)
-        ks_list.append(ks)
-        if rep == 0:
-            primary = (samples, z, ks, centering, scale_value, window_sigma2, window_mu, env_seed)
-    samples, z, ks, centering, scale_value, window_sigma2, window_mu, env_seed = primary
-    threshold = config.ks_threshold if config.ks_threshold is not None else default_ks_threshold(config.replicas)
-    return ExperimentReport(
-        kind="clt_hitting",
-        scale=n,
-        replicas=config.replicas,
-        centering=None,
-        ks_distance=ks,
-        threshold=threshold,
-        verdict=ks <= threshold,
-        raw_samples=samples,
-        standardized=z,
-        centering_value=centering,
-        scale_value=scale_value,
-        summary=summ,
-        window_sigma2=window_sigma2,
-        window_mu=window_mu,
-        cdf_errors=_cdf_errors(z, config.x_grid),
-        env_seed=env_seed,
-        walk_seed=config.resolved_walk_seed(),
-        ks_distribution=tuple(ks_list),
-    )
+        return samples, centering, math.sqrt(n * window_sigma2), window_sigma2, centering / n
+
+    return _clt_experiment(config, "clt_hitting", n, None, summ, replicate)
 
 
 def clt_position(config: ExperimentConfig) -> ExperimentReport:
@@ -251,15 +271,13 @@ def clt_position(config: ExperimentConfig) -> ExperimentReport:
     the same window the walkers run in; the scale is sqrt(t) times the
     window's self-consistent position scale.
     """
-    summ = analytics.summary(config.model, budget=config.summary_budget, tol=config.tol)
+    summ = analytics.summary(config.model, budget=config.summary_budget)
     t = config.t
     guard = _left_guard(config)
-    ks_list = []
-    primary = None
-    for rep in range(config.env_replicates):
-        env_seed = config.resolved_env_seed(rep)
+
+    def replicate(env_seed):
         window = _experiment_window(config, t + 1, env_seed, guard)
-        profile = MomentProfile(window, tol=config.tol)
+        profile = MomentProfile(window)
         if config.centering == "explicit":
             centering = profile.explicit_center(t, summ.mu)
         else:
@@ -267,37 +285,12 @@ def clt_position(config: ExperimentConfig) -> ExperimentReport:
         k_used = max(64, int(t / summ.mu))
         window_mu = profile.hitting_centering(k_used) / k_used
         window_sigma2 = float(profile.sigma2_array(k_used).mean())
-        sigma_star = math.sqrt(window_mu**-3 * window_sigma2)
-        scale_value = math.sqrt(t) * sigma_star
+        scale_value = math.sqrt(t) * math.sqrt(window_mu**-3 * window_sigma2)
         samples = walk.batch_positions(window, t, config.resolved_walk_seed(),
                                        config.replicas, guard)
-        z = (samples - centering) / scale_value
-        ks = ks_distance(z)
-        ks_list.append(ks)
-        if rep == 0:
-            primary = (samples, z, ks, centering, scale_value, window_sigma2, window_mu, env_seed)
-    samples, z, ks, centering, scale_value, window_sigma2, window_mu, env_seed = primary
-    threshold = config.ks_threshold if config.ks_threshold is not None else default_ks_threshold(config.replicas)
-    return ExperimentReport(
-        kind="clt_position",
-        scale=t,
-        replicas=config.replicas,
-        centering=config.centering,
-        ks_distance=ks,
-        threshold=threshold,
-        verdict=ks <= threshold,
-        raw_samples=samples,
-        standardized=z,
-        centering_value=centering,
-        scale_value=scale_value,
-        summary=summ,
-        window_sigma2=window_sigma2,
-        window_mu=window_mu,
-        cdf_errors=_cdf_errors(z, config.x_grid),
-        env_seed=env_seed,
-        walk_seed=config.resolved_walk_seed(),
-        ks_distribution=tuple(ks_list),
-    )
+        return samples, centering, scale_value, window_sigma2, window_mu
+
+    return _clt_experiment(config, "clt_position", t, config.centering, summ, replicate)
 
 
 @dataclass(frozen=True)
@@ -329,8 +322,6 @@ def lln_check(config: ExperimentConfig, *, rel_tol: float | None = None) -> LlnR
     lam = mean_log_odds(config.model)
     if lam.value >= 0:
         raise NotCltEligibleError("LLN experiment requires a transient-right law")
-    from .environment import odds_growth_rate
-
     r1 = odds_growth_rate(config.model, 1.0)
     positive_speed = r1.value < 1.0
     mu = (1.0 + r1.value) / (1.0 - r1.value) if positive_speed else None
@@ -339,12 +330,10 @@ def lln_check(config: ExperimentConfig, *, rel_tol: float | None = None) -> LlnR
     t_max = config.t
     n_grid = config.n_grid or _geometric_grid(n_max)
     t_grid = config.t_grid or _geometric_grid(t_max)
-    guard = _left_guard(config)
     mu_hint = mu if mu is not None else 10.0
-    max_steps = config.max_steps or (walk.default_max_steps(n_max, mu_hint) + 2 * t_max)
-    budget = SimulationBudget(left_guard=guard, max_steps=max_steps)
+    budget = _budget(config, walk.default_max_steps(n_max, mu_hint) + 2 * t_max)
     env_seed = config.resolved_env_seed()
-    window = _experiment_window(config, max(n_max, t_max) + 1, env_seed, guard)
+    window = _experiment_window(config, max(n_max, t_max) + 1, env_seed, budget.left_guard)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.resolved_walk_seed()))
     # zero-speed walks may never reach a fixed site within any sane budget,
     # so the hitting goal is only imposed in the positive-speed regime
@@ -397,11 +386,11 @@ class VarianceRatioReport:
 
 def variance_ratio_check(config: ExperimentConfig, *, ratio_tol: float = 0.05) -> VarianceRatioReport:
     """Checks sum_{k<n} var_k ~ n sigma2 and that no single site dominates."""
-    summ = analytics.summary(config.model, budget=config.summary_budget, tol=config.tol)
+    summ = analytics.summary(config.model, budget=config.summary_budget)
     n_grid = config.n_grid or _geometric_grid(config.n)
     env_seed = config.resolved_env_seed()
     window = _experiment_window(config, max(n_grid) + 1, env_seed, 8)
-    profile = MomentProfile(window, tol=config.tol)
+    profile = MomentProfile(window)
     sig = profile.sigma2_array(max(n_grid))
     csum = np.cumsum(sig)
     cmax = np.maximum.accumulate(sig)
@@ -451,7 +440,7 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
     qualitative trends (medians decreasing with scale), as no convergence
     rate is available in general.
     """
-    summ = analytics.summary(config.model, budget=config.summary_budget, tol=config.tol)
+    summ = analytics.summary(config.model, budget=config.summary_budget)
     t_grid = config.t_grid or (1000, 10_000, 100_000)
     n_grid = config.n_grid or (100, 1000, 10_000)
     x_grid = config.x_grid
@@ -475,7 +464,7 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
         env_seed = config.resolved_env_seed(rep)
         env_seeds.append(env_seed)
         window = _experiment_window(config, k_needed + 1, env_seed, 8)
-        profile = MomentProfile(window, tol=config.tol)
+        profile = MomentProfile(window)
         centered = profile.mu_array(k_needed) - summ.mu
         prefix = np.concatenate([[0.0], np.cumsum(centered)])
 
@@ -575,10 +564,10 @@ def uniform_ergodicity_estimate(
     is flagged as not uniformly ergodic.
     """
     n_grid = tuple(int(n) for n in n_grid)
-    mu_ref = analytics.reference_crossing_mean(model, tol=tol, seed=seed)
+    mu_ref = analytics.reference_crossing_mean(model, tol=tol)
     margin = suggested_burn_in(model)
     window = realize(model, -margin, starts + max(n_grid) + 2, seed)
-    profile = MomentProfile(window, tol=tol)
+    profile = MomentProfile(window)
     centered = profile.mu_array(starts + max(n_grid) + 1) - mu_ref
     prefix = np.concatenate([[0.0], np.cumsum(centered)])
     eps = []
@@ -634,11 +623,10 @@ def coupling_identity_check(
     case of the left-closed bracket).
     """
     n_goal = config.n
-    summ_mu_hint = analytics.summary(config.model, budget=50_000, tol=config.tol).mu
-    guard = _left_guard(config)
-    budget = SimulationBudget(left_guard=guard, max_steps=walk.default_max_steps(n_goal, summ_mu_hint))
+    summ_mu_hint = analytics.summary(config.model, budget=50_000).mu
+    budget = _budget(config, walk.default_max_steps(n_goal, summ_mu_hint))
     env_seed = config.resolved_env_seed()
-    window = _experiment_window(config, n_goal + 1, env_seed, guard)
+    window = _experiment_window(config, n_goal + 1, env_seed, budget.left_guard)
     checks = 0
     event_bad = 0
     approx_bad = 0

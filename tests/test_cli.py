@@ -116,6 +116,15 @@ class TestErrors:
         )
         assert main(["clt-hitting", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
 
+    @pytest.mark.parametrize("command,kind", [("lln", "lln"), ("clt-hitting", "clt_hitting")])
+    def test_zero_step_cap_is_a_config_error(self, tmp_path, command, kind):
+        # every driver reads max_steps the same way: 0 is a value, not "unset"
+        cfg = write_config(
+            tmp_path / "s.json", {"type": "constant", "p": 0.75},
+            {"kind": kind, "n": 200, "t": 200, "replicas": 100, "max_steps": 0},
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
     def test_numerical_error_exit_code(self, tmp_path):
         # a tolerance far below machine precision exhausts the window before
         # the site series can converge

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from rwre.analytics import summary
 from rwre.environment import (
     Constant,
     IidDiscrete,
@@ -20,7 +22,50 @@ from rwre.environment import (
     odds_ratio,
     realize,
 )
-from rwre.errors import ModelError, MomentDivergenceError
+from rwre.errors import ModelError
+
+# the benchmark's beta law: beta(2, 2) truncated to [0.55, 0.95]
+BETA_22 = IidParametric(family="beta", p_lo=0.55, p_hi=0.95, params=(("a", 2.0), ("b", 2.0)))
+
+
+def uniform_closed_forms(lo, hi):
+    """E ln A, E A, E A^2, E p^-3 and E q^-3 for p uniform on [lo, hi]."""
+    w = hi - lo
+
+    def ent(p):  # antiderivative of ln((1-p)/p), up to a constant
+        return -(1.0 - p) * math.log1p(-p) - p * math.log(p)
+
+    return {
+        "ln_a": (ent(hi) - ent(lo)) / w,
+        "a": (math.log(hi / lo) - w) / w,
+        "a2": ((1.0 / lo - 1.0 / hi) - 2.0 * math.log(hi / lo) + w) / w,
+        "p_neg_3": (lo**-2 - hi**-2) / (2.0 * w),
+        "q_neg_3": ((1.0 - hi) ** -2 - (1.0 - lo) ** -2) / (2.0 * w),
+    }
+
+
+def law_functionals(model):
+    rep = check_conditions(model, gamma=3.0)
+    return {
+        "ln_a": mean_log_odds(model).value,
+        "a": odds_growth_rate(model, 1.0).value,
+        "a2": odds_growth_rate(model, 2.0).value,
+        "p_neg_3": rep.evidence["E_p_neg_gamma"],
+        "q_neg_3": rep.evidence["E_q_neg_gamma"],
+    }
+
+
+def beta_quad(model, g):
+    """E g(p) under a truncated beta law by adaptive quadrature in p."""
+    a, b = model.param("a"), model.param("b")
+
+    def density(p):
+        return p ** (a - 1.0) * (1.0 - p) ** (b - 1.0)
+
+    def integral(f):
+        return quad(f, model.p_lo, model.p_hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    return integral(lambda p: g(p) * density(p)) / integral(density)
 
 
 class TestRealize:
@@ -137,12 +182,27 @@ class TestMeanLogOdds:
         # the plain head average is within the worst-start envelope
         assert abs(float(np.mean(np.log(w.odds_array()[:10_000]))) - lam) <= gaps[2]
 
-    def test_parametric_monte_carlo(self, uniform_parametric):
-        est = mean_log_odds(uniform_parametric, mc_samples=50_000, seed=3)
-        assert est.se > 0
-        assert est.method == "monte-carlo"
-        # uniform on [0.55, 0.9] is transient right decisively
-        assert est.value < -3 * est.se
+    def test_parametric_uniform_closed_forms(self, uniform_parametric):
+        est = mean_log_odds(uniform_parametric)
+        assert est.se == 0.0 and est.method == "quadrature"
+        got = law_functionals(uniform_parametric)
+        for name, want in uniform_closed_forms(0.55, 0.9).items():
+            assert got[name] == pytest.approx(want, rel=1e-13), name
+
+    def test_beta_against_adaptive_quadrature(self):
+        skewed = IidParametric(family="beta", p_lo=0.51, p_hi=0.99, params=(("a", 0.3), ("b", 0.2)))
+        for model in (BETA_22, skewed):
+            got = law_functionals(model)
+            assert got["ln_a"] == pytest.approx(
+                beta_quad(model, lambda p: math.log((1.0 - p) / p)), rel=1e-12)
+            assert got["q_neg_3"] == pytest.approx(
+                beta_quad(model, lambda p: (1.0 - p) ** -3), rel=1e-12)
+
+    def test_every_family_exact(self, two_point, golden_qp, uniform_parametric):
+        for model in (Constant(0.75), two_point, golden_qp, uniform_parametric, BETA_22):
+            for est in (mean_log_odds(model), odds_growth_rate(model, 1.0),
+                        odds_growth_rate(model, 2.5)):
+                assert est.se == 0.0, model
 
 
 class TestClassify:
@@ -152,6 +212,12 @@ class TestClassify:
         cls = classify(Constant(0.5))
         assert cls.regime is Regime.RECURRENT
         assert cls.within_tolerance
+
+    def test_symmetric_parametric_law_recurrent(self):
+        cls = classify(IidParametric(family="uniform", p_lo=0.3, p_hi=0.7))
+        assert cls.regime is Regime.RECURRENT
+        assert cls.within_tolerance
+        assert cls.log_odds_mean.se == 0.0
 
     @given(p=st.floats(min_value=0.02, max_value=0.98))
     @settings(max_examples=60, deadline=None)
@@ -187,10 +253,22 @@ class TestGrowthRate:
         with pytest.raises(ModelError):
             odds_growth_rate(two_point, 4.0, gamma=3.0)
 
-    def test_moment_divergence_guard(self):
-        model = IidParametric(family="uniform", p_lo=0.2, p_hi=0.8)
-        with pytest.raises(MomentDivergenceError):
-            odds_growth_rate(model, 200.0, mc_samples=500, seed=1)
+    def test_parametric_near_edge_law_converges(self):
+        # the odds span 12 orders of magnitude; quadrature in p instead of
+        # ln A leaves E p^-3 44% off even at 1024 nodes on this law
+        lo, hi = 1e-6, 1.0 - 1e-6
+        got = law_functionals(IidParametric(family="uniform", p_lo=lo, p_hi=hi))
+        want = uniform_closed_forms(lo, hi)
+        assert abs(got.pop("ln_a") - want.pop("ln_a")) <= 1e-12
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, rel=1e-12), name
+
+    def test_beta_benchmark_law_exact(self):
+        # density ~ p(1-p): r1 = int (1-p)^2 / int p(1-p) = 0.091/0.209 on [0.55, 0.95]
+        assert odds_growth_rate(BETA_22, 1.0).value == pytest.approx(91 / 209, rel=1e-13)
+        summ = summary(BETA_22, budget=20_000)
+        assert summ.mu == pytest.approx(150 / 59, rel=1e-13)
+        assert summ.mu_method == "closed-form" and summ.mu_se == 0.0
 
     def test_log_convexity_across_models(self, two_point, zero_speed, golden_qp,
                                          uniform_parametric, rational_qp):
@@ -206,7 +284,10 @@ class TestConditions:
     def test_constant_75(self):
         rep = check_conditions(Constant(0.75), gamma=3.0)
         assert rep.all_hold()
-        assert not rep.estimated
+        assert rep.evidence["E_p_neg_gamma"] == 0.75**-3.0
+        assert rep.evidence["E_q_neg_gamma"] == 64.0
+        assert rep.evidence["r_gamma"] == pytest.approx(1 / 27, rel=1e-14)
+        assert rep.evidence["lambda"] == math.log(1 / 3)
         assert rep.r2 == pytest.approx(1 / 9, rel=1e-14)
         assert rep.clt_eligible
         assert rep.regime == "transient_right"
@@ -231,10 +312,20 @@ class TestConditions:
         assert rep.speed == "zero"
         assert not rep.clt_eligible  # r2 > 1
 
-    def test_parametric_estimated(self, uniform_parametric):
+    def test_parametric_exact_evidence(self, uniform_parametric):
         rep = check_conditions(uniform_parametric, gamma=3.0)
-        assert rep.estimated
-        assert rep.evidence["E_p_neg_gamma"] < 1 / 0.55**3 + 1
+        # E A^3 = int (1/p - 1)^3 dp / w
+        lo, hi = 0.55, 0.9
+        r3 = ((lo**-2 - hi**-2) / 2 - 3 * (1 / lo - 1 / hi) + 3 * math.log(hi / lo) - (hi - lo)) / (hi - lo)
+        assert rep.evidence["r_gamma"] == pytest.approx(r3, rel=1e-13)
+        assert rep.evidence["support"] == [0.55, 0.9]
+        assert rep.holds_c2 and rep.holds_c3 and rep.all_hold()
+        assert rep.regime == "transient_right" and rep.clt_eligible
+
+    def test_quasi_periodic_c3_from_range(self, golden_qp):
+        rep = check_conditions(golden_qp, gamma=3.0)
+        assert rep.evidence["p_min"] == pytest.approx(0.6) and rep.evidence["p_max"] == pytest.approx(0.8)
+        assert rep.holds_c2 and rep.holds_c3
 
     def test_rational_alpha_c1_flagged(self, rational_qp):
         rep = check_conditions(rational_qp, gamma=3.0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from rwre.environment import Constant
-from rwre.errors import ConfigError, ModelError, NotCltEligibleError
+from rwre.errors import ConfigError, ModelError, NotCltEligibleError, StepBudgetExceededError
 from rwre.harness import (
     ExperimentConfig,
     clt_hitting,
@@ -255,3 +255,10 @@ class TestCouplingIdentity:
         cfg = ExperimentConfig(model=two_point, replicas=120, n=100, master_seed=22)
         rep = coupling_identity_check(cfg)
         assert rep.clean
+
+    def test_step_cap_from_config(self):
+        # reaching n = 100 takes at least 100 steps
+        for max_steps, error in ((0, ModelError), (99, StepBudgetExceededError)):
+            cfg = ExperimentConfig(model=Constant(0.75), replicas=100, n=100, max_steps=max_steps)
+            with pytest.raises(error):
+                coupling_identity_check(cfg)
