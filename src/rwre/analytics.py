@@ -651,12 +651,13 @@ def reference_crossing_mean(model: EnvironmentModel, *, tol: float = 1e-12,
     For quasi-periodic laws this is the circle average of the crossing-mean
     series evaluated on a phase grid, which is the correct reference even
     when the rotation number is rational and single-orbit averages converge
-    to the wrong value.  I.i.d.-type laws use the closed form.
+    to the wrong value.  I.i.d.-type laws use the closed form.  Raises
+    NotCltEligibleError when the order-1 growth rate is not below 1.
     """
+    r1 = odds_growth_rate(model, 1.0)
+    if r1.value >= 1.0:
+        raise NotCltEligibleError(f"order-1 growth rate {r1.value:.6g} >= 1; mean diverges")
     if isinstance(model, (Constant, IidDiscrete, IidParametric)):
-        r1 = odds_growth_rate(model, 1.0)
-        if r1.value >= 1.0:
-            raise NotCltEligibleError(f"order-1 growth rate {r1.value:.6g} >= 1; mean diverges")
         return (1.0 + r1.value) / (1.0 - r1.value)
     assert isinstance(model, QuasiPeriodic)
     phases = (np.arange(grid) + 0.5) / grid

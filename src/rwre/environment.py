@@ -439,6 +439,15 @@ def _qp_lambda(model: QuasiPeriodic) -> float:
     raise QuadratureError("circle average of ln A did not stabilize at 2^20 grid points")
 
 
+def _atom_mean(model: Constant | IidDiscrete, f) -> float:
+    """E f(p) over a constant or finite law, inf where a float overflows."""
+    atoms = ((model.p, 1.0),) if isinstance(model, Constant) else model.atoms
+    try:
+        return math.fsum(w * f(p) for p, w in atoms)
+    except OverflowError:
+        return math.inf
+
+
 def mean_log_odds(model: EnvironmentModel) -> Estimate:
     """The drift functional: the expected log odds ratio E ln((1-p)/p).
 
@@ -446,11 +455,8 @@ def mean_log_odds(model: EnvironmentModel) -> Estimate:
     finitely supported laws, quadrature for quasi-periodic and parametric
     laws; the standard error is always 0.
     """
-    if isinstance(model, Constant):
-        return Estimate(math.log((1.0 - model.p) / model.p), 0.0, "closed-form")
-    if isinstance(model, IidDiscrete):
-        value = math.fsum(w * math.log((1.0 - p) / p) for p, w in model.atoms)
-        return Estimate(value, 0.0, "closed-form")
+    if isinstance(model, (Constant, IidDiscrete)):
+        return Estimate(_atom_mean(model, lambda p: math.log((1.0 - p) / p)), 0.0, "closed-form")
     if isinstance(model, QuasiPeriodic):
         return Estimate(_qp_lambda(model), 0.0, "quadrature")
     return Estimate(_parametric_mean(model, lambda x: x), 0.0, "quadrature")
@@ -504,11 +510,8 @@ def odds_growth_rate(
         raise ModelError(f"kappa: must not exceed gamma={gamma}, got {kappa}")
     if kappa == 0:
         return Estimate(1.0, 0.0, "closed-form")
-    if isinstance(model, Constant):
-        return Estimate(((1.0 - model.p) / model.p) ** kappa, 0.0, "closed-form")
-    if isinstance(model, IidDiscrete):
-        value = math.fsum(w * ((1.0 - p) / p) ** kappa for p, w in model.atoms)
-        return Estimate(value, 0.0, "closed-form")
+    if isinstance(model, (Constant, IidDiscrete)):
+        return Estimate(_atom_mean(model, lambda p: ((1.0 - p) / p) ** kappa), 0.0, "closed-form")
     if isinstance(model, QuasiPeriodic):
         return Estimate(math.exp(kappa * _qp_lambda(model)), 0.0, "quadrature")
     return Estimate(_parametric_mean(model, lambda x: np.exp(kappa * x)), 0.0, "quadrature")
@@ -559,13 +562,9 @@ def check_conditions(model: EnvironmentModel, gamma: float) -> ConditionReport:
     r2 = odds_growth_rate(model, 2.0)
     evidence: dict = {"lambda": lam.value}
     holds_c1 = True
-    if isinstance(model, Constant):
-        evidence["E_p_neg_gamma"] = model.p**-gamma
-        evidence["E_q_neg_gamma"] = (1.0 - model.p) ** -gamma
-        evidence["r_gamma"] = ((1.0 - model.p) / model.p) ** gamma
-    elif isinstance(model, IidDiscrete):
-        evidence["E_p_neg_gamma"] = math.fsum(w * p**-gamma for p, w in model.atoms)
-        evidence["E_q_neg_gamma"] = math.fsum(w * (1.0 - p) ** -gamma for p, w in model.atoms)
+    if isinstance(model, (Constant, IidDiscrete)):
+        evidence["E_p_neg_gamma"] = _atom_mean(model, lambda p: p**-gamma)
+        evidence["E_q_neg_gamma"] = _atom_mean(model, lambda p: (1.0 - p) ** -gamma)
         evidence["r_gamma"] = odds_growth_rate(model, gamma).value
     elif isinstance(model, QuasiPeriodic):
         q = _small_denominator(model.alpha)

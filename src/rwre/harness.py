@@ -313,18 +313,18 @@ def lln_check(config: ExperimentConfig, *, rel_tol: float | None = None) -> LlnR
     """Law-of-large-numbers check on one long joint trajectory.
 
     For positive-speed laws the verdict compares T(n)/n and X(t)/t to the
-    law mean at the largest grid scale, within config.lln_rel_tol relative
-    error.  Zero-speed transient laws (order-1 growth rate >= 1) get trend
-    reporting only: X(t)/t should fall.
+    law-level mean crossing time (``analytics.reference_crossing_mean``, the
+    circle average for quasi-periodic laws) at the largest grid scale, within
+    config.lln_rel_tol relative error.  Zero-speed transient laws (order-1
+    growth rate >= 1) get trend reporting only: X(t)/t should fall.
     """
     if rel_tol is None:
         rel_tol = config.lln_rel_tol
     lam = mean_log_odds(config.model)
     if lam.value >= 0:
         raise NotCltEligibleError("LLN experiment requires a transient-right law")
-    r1 = odds_growth_rate(config.model, 1.0)
-    positive_speed = r1.value < 1.0
-    mu = (1.0 + r1.value) / (1.0 - r1.value) if positive_speed else None
+    positive_speed = odds_growth_rate(config.model, 1.0).value < 1.0
+    mu = analytics.reference_crossing_mean(config.model, tol=config.tol) if positive_speed else None
 
     n_max = config.n
     t_max = config.t
@@ -620,11 +620,12 @@ def coupling_identity_check(
     """Joint-mode trajectories checked exhaustively on (t, y) grids.
 
     The t grid includes exact hitting times T(k) (the adversarial boundary
-    case of the left-closed bracket).
+    case of the left-closed bracket).  The law needs a positive speed: the
+    default step cap comes from its law-level mean crossing time.
     """
     n_goal = config.n
-    summ_mu_hint = analytics.summary(config.model, budget=50_000).mu
-    budget = _budget(config, walk.default_max_steps(n_goal, summ_mu_hint))
+    mu = analytics.reference_crossing_mean(config.model, tol=config.tol)
+    budget = _budget(config, walk.default_max_steps(n_goal, mu))
     env_seed = config.resolved_env_seed()
     window = _experiment_window(config, n_goal + 1, env_seed, budget.left_guard)
     checks = 0

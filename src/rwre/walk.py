@@ -1,7 +1,10 @@
 """Quenched walk simulation.
 
-Single-replica trajectories are stepped one uniform draw at a time and
-record first-passage times, snapshots, and (optionally) the full path.
+Single-replica trajectories record first-passage times, snapshots and
+(optionally) the full path, one uniform per step from blocks of 16384.  Only a
+uniform between the least and greatest p the walker can reach needs its
+position; numpy takes the rest, so a trajectory, its errors and the generator
+state after it are bit for bit those of the step-by-step loop.
 Batched engines run replicas in full-width chunks of 1024, chunk c on the
 generator spawned with key (c,), so every replica's result is a pure function
 of (master seed, replica index).  Hitting times T(n) use the Kesten-Kozlov-
@@ -96,74 +99,89 @@ def _simulate(
     *,
     left_guard: int,
     max_steps: int,
-    t_stop: int = 0,
     n_stop: int | None = None,
     snap_times=(),
     record_first_passage: bool = False,
     record_path: bool = False,
 ) -> WalkObservation:
-    p = window.p
     lo = window.lo
     hi = window.hi
     if z0 <= lo or z0 >= hi:
         raise WindowTooSmallError(f"start {z0} not strictly inside window [{lo}, {hi}]")
     if n_stop is not None and n_stop > hi:
         raise WindowTooSmallError(f"hitting goal {n_stop} beyond window end {hi}")
+    if lo > -left_guard:
+        raise WindowTooSmallError(f"window [{lo}, {hi}] must cover the left guard {-left_guard}")
     snap_times = sorted(int(t) for t in snap_times)
-    snaps: list[tuple[int, int]] = []
-    si = 0
-    while si < len(snap_times) and snap_times[si] == 0:
-        snaps.append((0, z0))
-        si += 1
-    fp = [0]
-    best = z0
-    path = [z0] if record_path else None
-    x = z0
-    t = 0
+    t_need = max(snap_times, default=0)
+    goal = z0 if n_stop is None else n_stop
+    snaps = [(0, z0) for s in snap_times if s == 0]
+    si = len(snaps)
+    fp = [np.zeros(1, dtype=np.int64)]
+    path = [np.array([z0], dtype=np.int64)]
+    sites = memoryview(window.p)  # Python floats without a copy
+    x = best = z0
+    t = bi = 0
     buf = rng.random(_BUF)
-    bi = 0
-    while True:
-        if (
-            t >= t_stop
-            and si >= len(snap_times)
-            and (n_stop is None or best >= n_stop)
-        ):
-            break
+    while not (t >= t_need and best >= goal):
         if t >= max_steps:
             raise StepBudgetExceededError(f"trajectory exceeded max_steps={max_steps}")
         if bi == _BUF:
             buf = rng.random(_BUF)
             bi = 0
-        u = buf[bi]
-        bi += 1
-        x += 1 if u < p[x - lo] else -1
-        t += 1
-        if x > best:
-            best = x
-            if record_first_passage:
-                fp.append(t)
+        # the steps surely still needed, else a look-ahead of t + 256: short walks
+        # pay for about the steps they take, long ones take whole blocks
+        n = min(_BUF - bi, max_steps - t, max(t_need - t, goal - best, t + 256))
+        u = buf[bi : bi + n]
+        bi += n
+        # u below the least p these steps can reach is a right step, u at or
+        # above the greatest a left one; the rest are resolved in order, and the
+        # walk has ended before any step that starts outside (lo, hi)
+        near = window.p[max(x - n, lo) - lo : min(x + n, hi) - lo + 1]
+        p_min, p_max = near.min(), near.max()
+        dx = np.where(u < p_min, 1, -1)
+        open_ = np.flatnonzero((u >= p_min) & (u < p_max))
+        dx[open_] = 0
+        moves = []
+        shift = 0
+        for i, v in zip((np.cumsum(dx)[open_] + (x - lo)).tolist(), u[open_].tolist()):
+            i += shift
+            if i <= 0 or i >= hi - lo:
+                break
+            moves.append(1 if v < sites[i] else -1)
+            shift += moves[-1]
+        dx[open_[: len(moves)]] = moves
+        xs = x + np.cumsum(dx)
+        record = np.maximum.accumulate(np.maximum(xs, best))
+        done = record >= goal
+        done[: max(t_need - t - 1, 0)] = False
+        left = xs <= -left_guard
+        ends = left | done | (xs >= hi)
+        k = int(ends.argmax()) + 1 if ends.any() else n  # steps taken
+        if record_first_passage:
+            fp.append(t + 1 + np.flatnonzero(np.diff(record[:k], prepend=best)))
         if record_path:
-            path.append(x)
-        while si < len(snap_times) and t == snap_times[si]:
-            snaps.append((t, x))
+            path.append(xs[:k])
+        while si < len(snap_times) and snap_times[si] <= t + k:
+            snaps.append((snap_times[si], int(xs[snap_times[si] - t - 1])))
             si += 1
-        if x <= -left_guard:
+        t += k
+        if left[k - 1]:
             raise LeftGuardBreachError(
                 f"walker reached left guard {-left_guard} at step {t}; enlarge the guard"
             )
-        if x >= hi and not (
-            t >= t_stop and si >= len(snap_times) and (n_stop is None or best >= n_stop)
-        ):
+        if ends[k - 1] and not done[k - 1]:
             raise RightGuardBreachError(f"walker reached right window edge {hi} at step {t}")
-    hit = np.array(fp, dtype=np.int64) if record_first_passage else np.zeros(1, dtype=np.int64)
-    tau = np.diff(hit)
+        x = int(xs[k - 1])
+        best = int(record[k - 1])
+    hit = np.concatenate(fp)
     return WalkObservation(
         replica_seed=-1,
         start=z0,
-        tau=tau,
+        tau=np.diff(hit),
         hit=hit,
         snapshots=tuple(snaps),
-        path=np.array(path, dtype=np.int64) if record_path else None,
+        path=np.concatenate(path) if record_path else None,
     )
 
 
@@ -217,7 +235,6 @@ def sample_position(
         rng,
         left_guard=budget.left_guard,
         max_steps=budget.max_steps,
-        t_stop=t_list[-1] if t_list else 0,
         snap_times=t_list,
         n_stop=n_goal,
         record_first_passage=record_hitting,

@@ -135,6 +135,13 @@ class TestErrors:
         )
         assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
+    def test_analyze_reports_overflowing_moments(self, tmp_path):
+        cfg = write_config(tmp_path / "tiny.json", {"type": "constant", "p": 1e-120})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["conditions"]["evidence"]["E_p_neg_gamma"] == float("inf")
+        assert not report["conditions"]["holds_c3"] and not report["eligible"]
+
 
 class TestSeedPrecedence:
     def test_flag_beats_everything(self, tmp_path, monkeypatch):

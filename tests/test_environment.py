@@ -300,6 +300,16 @@ class TestConditions:
         assert not rep.clt_eligible
         assert rep.regime == "recurrent"
 
+    @pytest.mark.parametrize("model", [Constant(1e-120), IidDiscrete(((1e-120, 0.5), (0.8, 0.5)))])
+    def test_overflowing_moments_are_infinite(self, model):
+        # p^-3 and the odds cubed exceed the float range
+        rep = check_conditions(model, gamma=3.0)
+        assert rep.evidence["E_p_neg_gamma"] == math.inf
+        assert rep.evidence["r_gamma"] == math.inf
+        assert math.isfinite(rep.evidence["E_q_neg_gamma"])
+        assert not rep.holds_c3 and not rep.holds_c4
+        assert rep.regime == "transient_left"
+
     def test_two_point(self, two_point):
         rep = check_conditions(two_point, gamma=3.0)
         assert rep.all_hold()

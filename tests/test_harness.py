@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from rwre.analytics import reference_crossing_mean
 from rwre.environment import Constant
 from rwre.errors import ConfigError, ModelError, NotCltEligibleError, StepBudgetExceededError
 from rwre.harness import (
@@ -150,6 +151,16 @@ class TestLln:
         assert rep.verdict
         assert rep.hitting_ratios[-1] == pytest.approx(2.0, rel=0.05)
         assert rep.position_ratios[-1] == pytest.approx(0.5, rel=0.05)
+
+    def test_golden_mean_is_circle_average(self, golden_qp):
+        # the i.i.d. formula (1 + r1) / (1 - r1) gives 2.4392 here, 2.7% low
+        cfg = ExperimentConfig(model=golden_qp, kind="lln", n=100_000, t=100_000, replicas=100,
+                               master_seed=0xC0FFEE)
+        rep = lln_check(cfg)
+        assert rep.mu == reference_crossing_mean(golden_qp)
+        assert rep.mu == pytest.approx(2.5073827977, rel=1e-10)
+        assert rep.hitting_rel_error <= 0.02 and rep.position_rel_error <= 0.02
+        assert rep.verdict
 
     def test_zero_speed_trend(self, zero_speed):
         cfg = ExperimentConfig(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,14 @@ from rwre.environment import (
     Constant,
     EnvironmentWindow,
     IidDiscrete,
+    IidParametric,
+    QuasiPeriodic,
     realize,
     suggested_burn_in,
     suggested_left_guard,
 )
 from rwre.errors import (
+    GuardBreachError,
     LeftGuardBreachError,
     ModelError,
     RightGuardBreachError,
@@ -17,8 +22,11 @@ from rwre.errors import (
     WindowTooSmallError,
 )
 from rwre.walk import (
+    _BUF,
     REPLICA_CHUNK,
     SimulationBudget,
+    WalkObservation,
+    _simulate,
     batch_hitting_times,
     batch_positions,
     first_passage_index,
@@ -28,6 +36,72 @@ from rwre.walk import (
 )
 
 BUDGET = SimulationBudget(left_guard=80, max_steps=5_000_000)
+
+
+def stepped_simulate(window, z0, rng, *, left_guard, max_steps, n_stop=None, snap_times=(),
+                     record_first_passage=False, record_path=False):
+    """Reference: the one-uniform-per-step loop that ``walk._simulate`` ran
+    before the block engine, drawing the same 16384-uniform blocks; it stops
+    at the last snapshot time, as ``sample_position`` asked it to."""
+    t_stop = max(snap_times, default=0)
+    p = window.p
+    lo = window.lo
+    hi = window.hi
+    if z0 <= lo or z0 >= hi:
+        raise WindowTooSmallError(f"start {z0} not strictly inside window [{lo}, {hi}]")
+    if n_stop is not None and n_stop > hi:
+        raise WindowTooSmallError(f"hitting goal {n_stop} beyond window end {hi}")
+    snap_times = sorted(int(t) for t in snap_times)
+    snaps = []
+    si = 0
+    while si < len(snap_times) and snap_times[si] == 0:
+        snaps.append((0, z0))
+        si += 1
+    fp = [0]
+    best = z0
+    path = [z0] if record_path else None
+    x = z0
+    t = 0
+    buf = rng.random(_BUF)
+    bi = 0
+    while True:
+        if t >= t_stop and si >= len(snap_times) and (n_stop is None or best >= n_stop):
+            break
+        if t >= max_steps:
+            raise StepBudgetExceededError(f"trajectory exceeded max_steps={max_steps}")
+        if bi == _BUF:
+            buf = rng.random(_BUF)
+            bi = 0
+        u = buf[bi]
+        bi += 1
+        x += 1 if u < p[x - lo] else -1
+        t += 1
+        if x > best:
+            best = x
+            if record_first_passage:
+                fp.append(t)
+        if record_path:
+            path.append(x)
+        while si < len(snap_times) and t == snap_times[si]:
+            snaps.append((t, x))
+            si += 1
+        if x <= -left_guard:
+            raise LeftGuardBreachError(
+                f"walker reached left guard {-left_guard} at step {t}; enlarge the guard"
+            )
+        if x >= hi and not (
+            t >= t_stop and si >= len(snap_times) and (n_stop is None or best >= n_stop)
+        ):
+            raise RightGuardBreachError(f"walker reached right window edge {hi} at step {t}")
+    hit = np.array(fp, dtype=np.int64) if record_first_passage else np.zeros(1, dtype=np.int64)
+    return WalkObservation(
+        replica_seed=-1,
+        start=z0,
+        tau=np.diff(hit),
+        hit=hit,
+        snapshots=tuple(snaps),
+        path=np.array(path, dtype=np.int64) if record_path else None,
+    )
 
 
 @pytest.fixture
@@ -143,6 +217,146 @@ class TestSamplePosition:
                               record_hitting=True, n_goal=100)
         assert len(obs.hit) >= 101
         assert len(obs.snapshots) == 2
+
+
+PARITY_LAWS = {
+    "constant": Constant(0.75),  # p_min = p_max: no uniform needs the position
+    "two-point": IidDiscrete(((0.8, 0.5), (0.6, 0.5))),
+    "golden": QuasiPeriodic(alpha=(math.sqrt(5.0) - 1.0) / 2.0, omega0=0.0, coeffs=(0.7, 0.1)),
+    "slow": IidDiscrete(((0.75, 0.5), (0.45, 0.5))),
+    "beta": IidParametric(family="beta", p_lo=0.55, p_hi=0.95, params=(("a", 2.0), ("b", 2.0))),
+    # p over most of (0, 1): almost every uniform needs the position
+    "wide": IidParametric(family="uniform", p_lo=0.1, p_hi=0.99),
+}
+TWO_POINT_WINDOW = realize(PARITY_LAWS["two-point"], -300, 30_000, seed=4)
+
+
+def run_both(window, z0, seed, **kw):
+    """Run the block engine and the stepped loop from one seed; assert the same
+    observation or error and the same next uniform; return the loop's outcome."""
+    outcomes = []
+    for simulate in (_simulate, stepped_simulate):
+        rng = np.random.default_rng(seed)
+        try:
+            result = simulate(window, z0, rng, **kw)
+        except (GuardBreachError, StepBudgetExceededError) as exc:
+            result = exc
+        outcomes.append((result, rng.random()))
+    (got, got_next), (ref, ref_next) = outcomes
+    assert got_next == ref_next
+    if isinstance(ref, Exception):
+        assert (type(got), str(got)) == (type(ref), str(ref))  # messages carry the step
+        return ref
+    assert got.snapshots == ref.snapshots
+    assert all(type(v) is int for snap in got.snapshots for v in snap)
+    for name in ("hit", "tau", "path"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert (a is None) == (b is None)
+        if b is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    return ref
+
+
+def block_boundary_goal(window):
+    """(seed, n) whose trajectory first reaches n at step exactly _BUF."""
+    for seed in range(100):
+        ref = stepped_simulate(window, 0, np.random.default_rng(seed), left_guard=100,
+                               max_steps=_BUF, snap_times=[_BUF], record_first_passage=True)
+        hits = np.flatnonzero(ref.hit == _BUF)
+        if hits.size:
+            return seed, int(hits[0])
+    raise AssertionError("no trajectory has a record at the block boundary")
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("name", sorted(PARITY_LAWS))
+    def test_matches_stepped_loop(self, name):
+        window = realize(PARITY_LAWS[name], -400, 60_000, seed=5)
+        snaps = [0, 0, 1, 7, _BUF, _BUF, _BUF + 1, 45_000]
+        for seed in (1, 2):
+            ref = run_both(window, 0, seed, left_guard=300, max_steps=200_000, snap_times=snaps,
+                           n_stop=40, record_first_passage=True, record_path=True)
+            assert len(ref.path) == 45_001
+            run_both(window, 3, seed, left_guard=300, max_steps=200_000, n_stop=2000,
+                     record_first_passage=True)
+
+    def test_left_guard_breach(self):
+        # transient left: the walker reaches the guard before +40; in the second
+        # window the sites left of the start have the smallest p of all
+        w = realize(Constant(0.4), -400, 50, seed=2)
+        steps = EnvironmentWindow.from_values([0.2] * 400 + [0.45] * 51, lo=-400)
+        for window in (w, steps):
+            for seed in range(5):
+                ref = run_both(window, 0, seed, left_guard=5, max_steps=1_000_000, n_stop=40,
+                               record_first_passage=True, record_path=True)
+                assert isinstance(ref, LeftGuardBreachError)
+        # a start at the guard itself may step back inside
+        run_both(w, -5, 0, left_guard=5, max_steps=100, snap_times=[50])
+
+    def test_right_edge(self):
+        w = realize(PARITY_LAWS["two-point"], -300, 200, seed=4)
+        ref = run_both(w, 0, 1, left_guard=100, max_steps=10**6, snap_times=[5000])
+        assert isinstance(ref, RightGuardBreachError)
+        # reaching the edge exactly when the goal is met is no breach
+        ref = run_both(w, 0, 1, left_guard=100, max_steps=10**6, n_stop=200,
+                       record_first_passage=True)
+        assert len(ref.hit) == 201
+
+    def test_step_cap_at_hitting_time(self):
+        ref = run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=10**6, n_stop=8000,
+                       record_first_passage=True)
+        t_hit = int(ref.hit[-1])
+        assert t_hit > _BUF  # the cap falls in a later block
+        run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=t_hit, n_stop=8000,
+                 record_first_passage=True)
+        ref = run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=t_hit - 1,
+                       n_stop=8000, record_first_passage=True)
+        assert isinstance(ref, StepBudgetExceededError)
+        for max_steps in (17, 50):
+            ref = run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=max_steps,
+                           n_stop=8000)
+            assert isinstance(ref, StepBudgetExceededError)
+
+    def test_snapshots_at_zero_and_duplicated(self):
+        ref = run_both(TWO_POINT_WINDOW, 0, 3, left_guard=100, max_steps=100,
+                       snap_times=[0, 0], record_path=True)
+        assert ref.snapshots == ((0, 0), (0, 0)) and len(ref.path) == 1
+        ref = run_both(TWO_POINT_WINDOW, 0, 3, left_guard=100, max_steps=10**6,
+                       snap_times=[0, 5, 5, _BUF, _BUF + 1, _BUF + 1], record_path=True)
+        assert [t for t, _ in ref.snapshots] == [0, 5, 5, _BUF, _BUF + 1, _BUF + 1]
+        assert len(ref.path) == _BUF + 2
+
+    def test_uniform_equal_to_p_steps_left(self):
+        u0 = np.random.default_rng(0).random()
+        assert 0.1 < u0 < 0.9
+        flat = EnvironmentWindow.from_values([u0] * 200, lo=-100)
+        # the same site law with p_min = 0.1 and p_max = 0.9 inside the reach
+        spread = EnvironmentWindow.from_values([u0] * 10 + [0.1] + [u0] * 178 + [0.9] + [u0] * 10,
+                                               lo=-100)
+        for window in (flat, spread):
+            ref = run_both(window, 0, 0, left_guard=50, max_steps=100, snap_times=[1])
+            assert ref.snapshots == ((1, -1),)
+
+    def test_goal_met_at_block_boundary(self):
+        seed, n = block_boundary_goal(TWO_POINT_WINDOW)
+        ref = run_both(TWO_POINT_WINDOW, 0, seed, left_guard=100, max_steps=10**6, n_stop=n,
+                       record_first_passage=True, record_path=True)
+        assert int(ref.hit[-1]) == _BUF and len(ref.path) == _BUF + 1
+        # a cap at the boundary raises before the next block is drawn
+        ref = run_both(TWO_POINT_WINDOW, 0, seed, left_guard=100, max_steps=_BUF, n_stop=n + 1)
+        assert isinstance(ref, StepBudgetExceededError)
+
+    def test_left_guard_must_lie_in_window(self):
+        # a guard beyond the window's left end would read p through wrapped indices
+        w = realize(PARITY_LAWS["two-point"], -3, 60, seed=1)
+        budget = SimulationBudget(left_guard=10, max_steps=10**6)
+        with pytest.raises(WindowTooSmallError):
+            sample_position(w, 0, [100], np.random.default_rng(0), budget)
+        with pytest.raises(WindowTooSmallError):
+            sample_hitting_times(w, 50, np.random.default_rng(0), budget)
+        obs = sample_hitting_times(w, 50, np.random.default_rng(0),
+                                   SimulationBudget(left_guard=3, max_steps=10**6))
+        assert len(obs.hit) == 51
 
 
 class TestFirstPassageIndex:
