@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -73,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--workers", type=int, default=None, help="replica-chunk parallelism")
+        p.add_argument("--workers", type=int, default=None,
+                       help="accepted and recorded in the manifest; has no effect")
         p.add_argument(
             "--centering", choices=("explicit", "implicit"), default=None,
             help="position centering override",
@@ -148,15 +150,15 @@ def _jsonify(value):
         return [_jsonify(v) for v in value.tolist()]
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, (float, np.floating)):  # non-finite as in samples.csv: inf, -inf, nan
+        return float(value) if math.isfinite(value) else _fmt(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _jsonify(dataclasses.asdict(value))
     return value
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(_jsonify(payload), sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _fmt(value: float) -> str:

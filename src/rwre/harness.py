@@ -76,7 +76,9 @@ class ExperimentConfig:
     Grids must be sorted, the replica count is at least 100, and the
     diagnostic exponent is positive.  Seeds not given explicitly are derived
     as children of the master seed.  ``max_steps`` caps hitting, LLN and
-    trajectory runs only: X(t) always takes exactly t steps.
+    trajectory runs only: X(t) always takes exactly t steps.  ``workers``
+    is accepted and recorded in the manifest but has no effect: every
+    sampler runs in one process.
     """
 
     model: EnvironmentModel
@@ -125,8 +127,6 @@ class ExperimentConfig:
             raise ConfigError(f"experiment.kind: unknown kind {self.kind!r}")
         if self.env_replicates < 1:
             raise ConfigError("experiment.env_replicates: must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("experiment.workers: must be >= 1")
 
     def resolved_env_seed(self, replicate: int = 0) -> int:
         base = self.env_seed if self.env_seed is not None else _child_seed(self.master_seed, 1)
@@ -255,10 +255,8 @@ def clt_hitting(config: ExperimentConfig) -> ExperimentReport:
         profile = MomentProfile(window)
         centering = profile.hitting_centering(n)
         window_sigma2 = float(profile.sigma2_array(n).mean())
-        samples = walk.batch_hitting_times(
-            window, n, config.resolved_walk_seed(), config.replicas, budget,
-            workers=config.workers,
-        )
+        samples = walk.batch_hitting_times(window, n, config.resolved_walk_seed(),
+                                           config.replicas, budget)
         return samples, centering, math.sqrt(n * window_sigma2), window_sigma2, centering / n
 
     return _clt_experiment(config, "clt_hitting", n, None, summ, replicate)

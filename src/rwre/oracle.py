@@ -18,9 +18,11 @@ transcription swaps the two arguments.  Both symbolic variants are evaluated
 by ``forcing_terms`` and compared to the e-derived forcing; only the
 unswapped variant matches, and the oracle always builds f from the solved e.
 
-Banded forward propagation gives the quenched law of X(t) in O(t * band)
-(also the sampler behind ``walk.batch_positions``); the Monte Carlo route
-estimates single-edge crossing moments with standard errors.  Together they
+One banded forward propagation kernel gives the quenched laws of X(t)
+(``position_law``) and of T(n) (``hitting_law``, absorbing at n and
+recording the mass absorbed at each step) in O(steps * band); both laws are
+inverted by the batch samplers in ``walk``.  The Monte Carlo route estimates
+single-edge crossing moments with standard errors.  Together they
 adjudicate every formula discrepancy flagged upstream.
 """
 
@@ -47,6 +49,7 @@ __all__ = [
     "expected_hitting_times",
     "hitting_time_variances",
     "position_law",
+    "hitting_law",
     "exact_position_distribution",
     "mc_crossing_moments",
     "forcing_terms",
@@ -183,39 +186,83 @@ class ExactPmf:
         return 0.5 * sum(abs(emp.get(k, 0.0) - exact.get(k, 0.0)) for k in keys)
 
 
-def position_law(window: EnvironmentWindow, z0: int, t: int, left_guard: int | None = None):
-    """Quenched law of X(t) from z0 by banded forward propagation, O(t * band).
+TRIM_EVERY = 16
 
-    Each step, mass m at x sends ``right = m p_x`` to x+1 and ``m - right`` to
-    x-1; mass reaching -left_guard (if given) is absorbed.  Only the band from
-    the first to the last cell of mass >= LAW_EPS is kept, so at most t + 1
-    cells, each below LAW_EPS, are ever dropped.  Returns (start, masses,
-    absorbed, dropped), with masses[i] = P(X(t) = start + 2i, no absorption).
+
+def _propagate(window: EnvironmentWindow, z0: int, steps: int, left_guard: int | None = None,
+               right: int | None = None):
+    """Banded forward propagation of the quenched walk from z0, O(steps * band).
+
+    Each step, mass m at x sends ``m p_x`` to x+1 and ``m - m p_x`` to x-1, in
+    place in a buffer whose band buf[a:b] holds positions start, start + 2, ...
+    Mass reaching -left_guard or ``right`` (if given) is absorbed.  Every
+    TRIM_EVERY steps, and at the end, only the band from the first to the last
+    cell of mass >= LAW_EPS is kept; each step adds one cell, so at most
+    steps + 1 cells, each below LAW_EPS, are ever dropped.  Stops after
+    ``steps`` steps or once the band is empty.  Returns (start, masses,
+    absorbed at the guard, dropped, hits), hits[s] being the mass absorbed at
+    ``right`` at step s.
     """
-    left = z0 - t if left_guard is None else -left_guard
-    if left < window.lo or z0 + t > window.hi:
-        raise WindowTooSmallError(f"window [{window.lo}, {window.hi}] must cover [{left}, {z0 + t}]")
-    start, masses, absorbed, dropped = z0, np.ones(1), 0.0, 0.0
-    for _ in range(t):
-        right = masses * window.p[start - window.lo :: 2][: masses.size]
-        nxt = np.zeros(masses.size + 1)
-        nxt[:-1] = masses - right
-        nxt[1:] += right
+    guard = None if left_guard is None else -left_guard
+    left = z0 - steps if guard is None else guard
+    top = z0 + steps if right is None else right
+    if left < window.lo or top > window.hi:
+        raise WindowTooSmallError(f"window [{window.lo}, {window.hi}] must cover [{left}, {top}]")
+    p = window.p
+    lo = window.lo
+    width = (min(top, z0 + steps) - max(left, z0 - steps)) // 2 + 2  # the widest band
+    buf = np.zeros(2 * width + TRIM_EVERY + 2)
+    buf[0] = 1.0
+    a, b, start = 0, 1, z0
+    absorbed = dropped = 0.0
+    hits = [0.0]
+    for s in range(1, steps + 1):
+        if b == buf.size:  # slide the band back to the front of the buffer
+            buf[: b - a] = buf[a:b]
+            buf[b - a :] = 0.0
+            a, b = 0, b - a
+        band = buf[a:b]
+        moved = band * p[start - lo :: 2][: b - a]
+        band -= moved
+        buf[a + 1 : b + 1] += moved
+        b += 1
         start -= 1
-        if left_guard is not None and start == -left_guard:
-            absorbed += nxt[0]
-            nxt[0] = 0.0
-        a, b = 0, nxt.size
-        while a < b and nxt[a] < LAW_EPS:
+        if start == guard:
+            absorbed += buf[a]
+            buf[a] = 0.0
             a += 1
-        while b > a and nxt[b - 1] < LAW_EPS:
+            start += 2
+        if start + 2 * (b - 1 - a) == right:
             b -= 1
-        if a or b < nxt.size:
-            dropped += float(nxt[:a].sum() + nxt[b:].sum())
-        masses, start = nxt[a:b], start + 2 * a
-        if not masses.size:  # everything left was absorbed or dropped
-            break
-    return start, masses, float(absorbed), dropped
+            hits.append(buf[b])
+            buf[b] = 0.0
+        else:
+            hits.append(0.0)
+        if s % TRIM_EVERY == 0 or s == steps or a == b:
+            live = np.flatnonzero(buf[a:b] >= LAW_EPS)
+            i, j = (live[0], live[-1] + 1) if live.size else (b - a, b - a)
+            dropped += float(buf[a : a + i].sum() + buf[a + j : b].sum())
+            buf[a + j : b] = 0.0
+            a, b, start = a + i, a + j, start + 2 * i
+            if a == b:
+                break
+    return start, buf[a:b].copy(), float(absorbed), dropped, np.array(hits)
+
+
+def position_law(window: EnvironmentWindow, z0: int, t: int, left_guard: int | None = None):
+    """Quenched law of X(t) from z0, absorbed at -left_guard if given: (start,
+    masses, absorbed, dropped), masses[i] = P(X(t) = start + 2i, no absorption)."""
+    return _propagate(window, z0, t, left_guard)[:4]
+
+
+def hitting_law(window: EnvironmentWindow, n: int, left_guard: int, max_steps: int):
+    """Quenched law of T(n) from 0, absorbed at -left_guard: (pmf, absorbed,
+    alive, dropped), pmf[s] = P(T(n) = s) for s <= max_steps and ``alive`` the
+    mass still moving after max_steps steps (0 if the band emptied first)."""
+    if n < 1:
+        raise ModelError(f"hitting_law: n must be >= 1, got {n}")
+    _, masses, absorbed, dropped, pmf = _propagate(window, 0, max_steps, left_guard, n)
+    return pmf, absorbed, float(masses.sum()), dropped
 
 
 def exact_position_distribution(window: EnvironmentWindow, z0: int, t: int) -> ExactPmf:

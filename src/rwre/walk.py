@@ -5,15 +5,15 @@ Single-replica trajectories record first-passage times, snapshots and
 uniform between the least and greatest p the walker can reach needs its
 position; numpy takes the rest, so a trajectory, its errors and the generator
 state after it are bit for bit those of the step-by-step loop.
-Batched engines run replicas in full-width chunks of 1024, chunk c on the
-generator spawned with key (c,), so every replica's result is a pure function
-of (master seed, replica index).  Hitting times T(n) use the Kesten-Kozlov-
-Spitzer branching decomposition, O(n + backtrack depth) per replica whatever
-the walk's speed; positions X(t) invert ``oracle.position_law``, once per window.
+Batched engines sample by inversion: the exact quenched law of T(n) or X(t)
+comes once per window from the propagation kernel in ``oracle``, and each
+replica inverts its CDF with one uniform.  Replicas draw in full-width chunks
+of 1024, chunk c on the generator spawned with key (c,), so every replica's
+result is a pure function of (master seed, replica index).
 
 Guard breaches are hard errors, never silent reflections: reflecting at a
-boundary would bias crossing times.  The hitting engine raises the guard
-and step-budget errors on exactly the events a stepped walk would.
+boundary would bias crossing times.  The batched engines raise the guard and
+step-budget errors on events of the same law as a stepped walk's.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     StepBudgetExceededError,
     WindowTooSmallError,
 )
-from .oracle import position_law
+from .oracle import hitting_law, position_law
 
 __all__ = [
     "SimulationBudget",
@@ -258,59 +258,20 @@ def first_passage_index(observation: WalkObservation, t: float) -> int:
 # chunked batch engines
 
 
-def _replica_chunks(n_replicas: int) -> int:
-    """Number of fixed-width chunks needed for n_replicas."""
-    return (n_replicas + REPLICA_CHUNK - 1) // REPLICA_CHUNK
-
-
-def _chunk_rng(master_seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(chunk_index,))
-    )
-
-
-def hitting_chunk(args) -> np.ndarray:
-    """Hitting times T(n) for one full replica chunk, by branching decomposition.
-
-    T(n) = n + 2 sum_{k<n} D_k, where D_k counts the left steps taken from
-    site k and, given the environment, D_k ~ NegBin(D_{k+1} + 1{k>=0}, p_k)
-    with D_n = 0 (Kesten, Kozlov and Spitzer 1975).  Sites are drawn from n-1
-    leftwards until every replica's D has died out; the walker visits k < 0
-    iff D_{k+1} > 0.  Full width always: callers slice off the unused tail.
-    """
-    window, n, master_seed, chunk_index, left_guard, max_steps = args
-    rng = _chunk_rng(master_seed, chunk_index)
-    lo = window.lo
-    if n > window.hi or -left_guard < lo:
-        raise WindowTooSmallError(
-            f"window [{lo}, {window.hi}] must cover [-{left_guard}, {n}]"
-        )
-    inv_log_q = 1.0 / np.log1p(-window.p)
-    limit = (max_steps - n) / 2.0  # more left steps: T(n) > max_steps
-    left_steps = np.zeros(REPLICA_CHUNK)
-    alive = slice(None)  # replicas whose walker visits site k: all while k >= 0
-    trials = np.ones(REPLICA_CHUNK, dtype=np.int64)
-    for k in range(n - 1, -left_guard - 1, -1):
-        if k < 0:
-            keep = trials > 0
-            alive, trials = np.arange(REPLICA_CHUNK)[alive][keep], trials[keep]
-            if not trials.size:
-                break
-            if k == -left_guard:
-                raise LeftGuardBreachError(
-                    f"a walker reached the left guard {-left_guard}; enlarge the guard"
-                )
-        # NegBin(trials, p_k) as sums of inverted geometrics, exact in law
-        ends = np.cumsum(trials)
-        g = np.log1p(-rng.random(int(ends[-1])))
-        g *= inv_log_q[k - lo]
-        np.floor(g, out=g)
-        d = np.add.reduceat(g, ends - trials)
-        left_steps[alive] += d  # checked per site, which also bounds the draws
-        if left_steps.max() > limit:
-            raise StepBudgetExceededError(f"hitting chunk exceeded max_steps={max_steps}")
-        trials = d.astype(np.int64) + (k > 0)
-    return n + 2 * left_steps.astype(np.int64)
+def _invert_law(masses, absorbed, alive, master_seed, n_replicas, left_guard) -> np.ndarray:
+    """Each replica's cell of a law by inverting its CDF, laid out as the mass
+    absorbed at -left_guard, then ``masses``, then the mass ``alive`` at the
+    step cap.  Chunk c draws REPLICA_CHUNK uniforms from the generator spawned
+    with key (c,).  A uniform of a full-width chunk in the absorbed mass, or
+    at or above the last cell's CDF while mass is alive, raises."""
+    chunks = np.random.SeedSequence(master_seed).spawn(-(-n_replicas // REPLICA_CHUNK))
+    u = np.concatenate([np.random.default_rng(seq).random(REPLICA_CHUNK) for seq in chunks])
+    if not masses.size or u.min() < absorbed:
+        raise LeftGuardBreachError(f"a walker reached the left guard {-left_guard}; enlarge the guard")
+    cdf = absorbed + np.cumsum(masses)
+    if alive > 0.0 and u.max() >= cdf[-1]:
+        raise StepBudgetExceededError(f"a walker was still running after max_steps={masses.size - 1}")
+    return np.minimum(np.searchsorted(cdf, u[:n_replicas], side="right"), masses.size - 1)
 
 
 def batch_hitting_times(
@@ -319,22 +280,15 @@ def batch_hitting_times(
     master_seed: int,
     n_replicas: int,
     budget: SimulationBudget,
-    *,
-    workers: int = 1,
 ) -> np.ndarray:
-    """T(n) for n_replicas independent replicas under one quenched window."""
-    tasks = [
-        (window, n, master_seed, c, budget.left_guard, budget.max_steps)
-        for c in range(_replica_chunks(n_replicas))
-    ]
-    if workers <= 1 or len(tasks) <= 1:
-        parts = [hitting_chunk(t) for t in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    """T(n) for n_replicas independent replicas under one quenched window.
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            parts = list(pool.map(hitting_chunk, tasks))
-    return np.concatenate(parts)[:n_replicas]
+    The law of T(n) from 0, absorbed at -left_guard and cut at max_steps, is
+    computed once (``oracle.hitting_law``), and each replica inverts its CDF
+    with its own uniform: T(n) is the step of its cell.
+    """
+    pmf, absorbed, alive, _ = hitting_law(window, n, budget.left_guard, budget.max_steps)
+    return _invert_law(pmf, absorbed, alive, master_seed, n_replicas, budget.left_guard)
 
 
 def batch_positions(
@@ -348,20 +302,14 @@ def batch_positions(
 ) -> np.ndarray:
     """X(t) for n_replicas independent replicas under one quenched window.
 
-    The law of X(t) absorbed at -left_guard is computed once, and each replica
-    inverts its CDF (absorbed mass first) with its own uniform.  A uniform in
-    the absorbed mass is a walker that reached the guard: any, in full-width
-    chunks, raises.  X(t) always takes exactly t steps, so no step cap applies.
+    The law of X(t) absorbed at -left_guard is computed once
+    (``oracle.position_law``), and each replica inverts its CDF with its own
+    uniform.  X(t) always takes exactly t steps, so no step cap applies.
     """
     if left_guard < 1:
         raise ModelError(f"left_guard: must be >= 1, got {left_guard}")
     start, masses, absorbed, _ = position_law(window, z0, t_steps, left_guard)
-    chunks = range(_replica_chunks(n_replicas))
-    u = np.concatenate([_chunk_rng(master_seed, c).random(REPLICA_CHUNK) for c in chunks])
-    if not masses.size or u.min() < absorbed:
-        raise LeftGuardBreachError(f"a walker reached the left guard {-left_guard}; enlarge the guard")
-    cells = np.searchsorted(absorbed + np.cumsum(masses), u[:n_replicas], side="right")
-    return start + 2 * np.minimum(cells, masses.size - 1)
+    return start + 2 * _invert_law(masses, absorbed, 0.0, master_seed, n_replicas, left_guard)
 
 
 def default_max_steps(n_or_t: int, mu_hint: float) -> int:

@@ -139,8 +139,18 @@ class TestErrors:
         cfg = write_config(tmp_path / "tiny.json", {"type": "constant", "p": 1e-120})
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
-        assert report["conditions"]["evidence"]["E_p_neg_gamma"] == float("inf")
+        assert report["conditions"]["evidence"]["E_p_neg_gamma"] == "inf"
         assert not report["conditions"]["holds_c3"] and not report["eligible"]
+
+    def test_reports_are_strict_json(self, tmp_path):
+        # non-finite floats are written as the strings "inf", "-inf", "nan"
+        def reject(token):
+            raise ValueError(f"bare {token} in strict JSON")
+
+        cfg = write_config(tmp_path / "tiny.json", {"type": "constant", "p": 1e-120})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        for name in ("report.json", "manifest.json"):
+            json.loads((tmp_path / "o" / name).read_text(), parse_constant=reject)
 
 
 class TestSeedPrecedence:

@@ -2,14 +2,23 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from rwre.analytics import site_mean, site_variance
-from rwre.environment import Constant, EnvironmentWindow, IidDiscrete, realize
+from rwre.analytics import MomentProfile, site_mean, site_variance
+from rwre.environment import (
+    Constant,
+    EnvironmentWindow,
+    IidDiscrete,
+    QuasiPeriodic,
+    realize,
+    suggested_burn_in,
+    suggested_left_guard,
+)
 from rwre.errors import ModelError, WindowTooSmallError
 from rwre.oracle import (
     LAW_EPS,
     exact_position_distribution,
     expected_hitting_times,
     forcing_terms,
+    hitting_law,
     hitting_time_variances,
     mc_crossing_moments,
     position_law,
@@ -17,6 +26,11 @@ from rwre.oracle import (
 )
 
 SLOW = IidDiscrete(atoms=((0.75, 0.5), (0.45, 0.5)))  # mu = 8, heavy crossing tails
+HITTING_LAWS = {
+    "two-point": IidDiscrete(atoms=((0.8, 0.5), (0.6, 0.5))),
+    "golden": QuasiPeriodic(alpha=(5.0**0.5 - 1.0) / 2.0, omega0=0.0, coeffs=(0.7, 0.1)),
+    "slow": SLOW,
+}
 
 
 def banded_reference(window, a, n, f):
@@ -242,6 +256,73 @@ class TestPositionLaw:
             position_law(w, 0, 40, left_guard=6)
         with pytest.raises(WindowTooSmallError):
             position_law(w, 0, 51, left_guard=5)
+
+
+def brute_force_hitting_pmf(window, n, left_guard, steps):
+    """Reference: P(T(n) = s) for s <= steps on the full grid [-left_guard, n]."""
+    a = -left_guard
+    p = window.p[a - window.lo : n - window.lo + 1]
+    probs = np.zeros(n - a + 1)
+    probs[-a] = 1.0
+    pmf = [0.0]
+    for _ in range(steps):
+        nxt = np.zeros_like(probs)
+        nxt[1:] += probs[:-1] * p[:-1]
+        nxt[:-1] += probs[1:] * (1.0 - p[1:])
+        nxt[0] = 0.0
+        pmf.append(nxt[-1])
+        nxt[-1] = 0.0
+        probs = nxt
+    return np.array(pmf)
+
+
+class TestHittingLaw:
+    @staticmethod
+    def _window(model, n):
+        guard = suggested_left_guard(model)
+        return realize(model, -max(guard + 2, suggested_burn_in(model)), n + 1, seed=5), guard
+
+    @pytest.mark.parametrize("law", sorted(HITTING_LAWS))
+    def test_moments_match_profile(self, law):
+        # the propagation and the moment recursions are independent routes
+        n = 1000
+        w, guard = self._window(HITTING_LAWS[law], n)
+        pmf, absorbed, alive, dropped = hitting_law(w, n, guard, 10**6)
+        steps = np.arange(pmf.size)
+        assert alive == 0.0 and 0.0 <= dropped <= pmf.size * LAW_EPS
+        assert abs(pmf.sum() + absorbed + alive + dropped - 1.0) <= 1e-12
+        assert np.all(pmf[(steps - n) % 2 == 1] == 0.0) and np.all(pmf[:n] == 0.0)
+        mean = np.dot(steps, pmf) / pmf.sum()
+        var = np.dot((steps - mean) ** 2, pmf) / pmf.sum()
+        profile = MomentProfile(w)
+        assert mean == pytest.approx(profile.hitting_centering(n), rel=1e-12)
+        assert var == pytest.approx(float(profile.sigma2_array(n).sum()), rel=1e-12)
+
+    def test_against_brute_force_with_step_cap(self):
+        n, guard, cap = 40, 12, 400
+        w = realize(SLOW, -guard, n, seed=3)
+        pmf, absorbed, alive, dropped = hitting_law(w, n, guard, cap)
+        assert pmf.size == cap + 1 and alive > 0.0 and absorbed > 0.0
+        assert np.max(np.abs(pmf - brute_force_hitting_pmf(w, n, guard, cap))) <= 1e-15
+        assert abs(pmf.sum() + absorbed + alive + dropped - 1.0) <= 1e-12
+
+    def test_first_atoms_exact(self):
+        # T(1) = 1 with p_0, T(1) = 3 along 0 -> -1 -> 0 -> 1
+        mixed = EnvironmentWindow.from_values([0.9] * 99 + [0.5, 0.75] + [0.9] * 10, lo=-100)
+        p_m1, p_0 = 0.5, 0.75
+        pmf, _, _, _ = hitting_law(mixed, 1, 80, 10**6)
+        assert pmf[0] == 0.0 and pmf[1] == p_0
+        assert pmf[2] == 0.0 and pmf[3] == (1.0 - p_0) * p_m1 * p_0
+
+    def test_coverage_errors(self):
+        w = realize(Constant(0.75), -5, 50, seed=0)
+        hitting_law(w, 50, 5, 1000)
+        with pytest.raises(WindowTooSmallError):
+            hitting_law(w, 50, 6, 1000)
+        with pytest.raises(WindowTooSmallError):
+            hitting_law(w, 51, 5, 1000)
+        with pytest.raises(ModelError):
+            hitting_law(w, 0, 5, 1000)
 
 
 class TestMcCrossingMoments:

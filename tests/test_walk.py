@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from rwre.environment import (
     Constant,
@@ -102,6 +103,46 @@ def stepped_simulate(window, z0, rng, *, left_guard, max_steps, n_stop=None, sna
         snapshots=tuple(snaps),
         path=np.array(path, dtype=np.int64) if record_path else None,
     )
+
+
+def kks_hitting_times(window, n, master_seed, n_replicas, budget):
+    """Reference: the Kesten-Kozlov-Spitzer branching sampler that
+    ``batch_hitting_times`` ran before it inverted the exact law of T(n).
+
+    T(n) = n + 2 sum_{k<n} D_k, where D_k counts the left steps taken from
+    site k and, given the environment, D_k ~ NegBin(D_{k+1} + 1{k>=0}, p_k)
+    with D_n = 0.  Sites are drawn from n-1 leftwards, chunk by chunk of
+    REPLICA_CHUNK replicas, until every replica's D has died out; the walker
+    visits k < 0 iff D_{k+1} > 0."""
+    lo = window.lo
+    if n > window.hi or -budget.left_guard < lo:
+        raise WindowTooSmallError(f"window [{lo}, {window.hi}] must cover [-{budget.left_guard}, {n}]")
+    inv_log_q = 1.0 / np.log1p(-window.p)
+    limit = (budget.max_steps - n) / 2.0  # more left steps: T(n) > max_steps
+    parts = []
+    for c in range(-(-n_replicas // REPLICA_CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(c,)))
+        left_steps = np.zeros(REPLICA_CHUNK)
+        alive = slice(None)  # replicas whose walker visits site k: all while k >= 0
+        trials = np.ones(REPLICA_CHUNK, dtype=np.int64)
+        for k in range(n - 1, -budget.left_guard - 1, -1):
+            if k < 0:
+                keep = trials > 0
+                alive, trials = np.arange(REPLICA_CHUNK)[alive][keep], trials[keep]
+                if not trials.size:
+                    break
+                if k == -budget.left_guard:
+                    raise LeftGuardBreachError(f"a walker reached the left guard {-budget.left_guard}")
+            # NegBin(trials, p_k) as sums of inverted geometrics, exact in law
+            ends = np.cumsum(trials)
+            g = np.floor(np.log1p(-rng.random(int(ends[-1]))) * inv_log_q[k - lo])
+            d = np.add.reduceat(g, ends - trials)
+            left_steps[alive] += d
+            if left_steps.max() > limit:
+                raise StepBudgetExceededError(f"hitting chunk exceeded max_steps={budget.max_steps}")
+            trials = d.astype(np.int64) + (k > 0)
+        parts.append(n + 2 * left_steps.astype(np.int64))
+    return np.concatenate(parts)[:n_replicas]
 
 
 @pytest.fixture
@@ -397,10 +438,10 @@ class TestFirstPassageIndex:
 
 
 class TestBatchEngines:
-    def test_deterministic_across_worker_counts(self, window_75):
+    def test_deterministic_given_seed(self, window_75):
         budget = SimulationBudget(left_guard=80, max_steps=100_000)
-        a = batch_hitting_times(window_75, 150, 42, 300, budget, workers=1)
-        b = batch_hitting_times(window_75, 150, 42, 300, budget, workers=4)
+        a = batch_hitting_times(window_75, 150, 42, 300, budget)
+        b = batch_hitting_times(window_75, 150, 42, 300, budget)
         assert np.array_equal(a, b)
 
     def test_replica_result_independent_of_count(self, window_75):
@@ -496,3 +537,35 @@ class TestBatchEngines:
         assert batch_hitting_times(window_75, 50, 1, 200, budget).max() <= t_max
         with pytest.raises(StepBudgetExceededError):
             batch_hitting_times(window_75, 50, 1, 200, SimulationBudget(left_guard=80, max_steps=t_max - 1))
+
+
+class TestHittingSamplerEquivalence:
+    """The inverted exact law of T(n) against the KKS reference sampler.
+
+    Independent seeds, R = 20 * 1024 replicas each.  Each check has a stated
+    false-alarm rate if the two laws agree: two-sample KS p-value >= 1e-3
+    (alpha = 1e-3; conservative for lattice data), and |z| <= 4 for the
+    difference of means and of variances (alpha = 6.3e-5 each, the variance
+    SE from the fourth central moment).
+    """
+
+    @staticmethod
+    def _z(a, b, stat):
+        if stat == "mean":
+            return (a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+        se2 = [(np.mean((x - x.mean()) ** 4) - x.var(ddof=1) ** 2) / x.size for x in (a, b)]
+        return (a.var(ddof=1) - b.var(ddof=1)) / math.sqrt(sum(se2))
+
+    @pytest.mark.parametrize("name, n", [("two-point", 500), ("slow", 400)])
+    def test_matches_kks(self, name, n):
+        model = PARITY_LAWS[name]
+        guard = suggested_left_guard(model)
+        w = realize(model, -max(guard + 2, suggested_burn_in(model)), n + 1, seed=11)
+        budget = SimulationBudget(left_guard=guard, max_steps=10**7)
+        r = 20 * REPLICA_CHUNK
+        exact = batch_hitting_times(w, n, 101, r, budget)
+        kks = kks_hitting_times(w, n, 202, r, budget)
+        assert np.all((exact - n) % 2 == 0) and exact.min() >= n
+        assert ks_2samp(exact, kks).pvalue >= 1e-3
+        assert abs(self._z(exact, kks, "mean")) <= 4.0
+        assert abs(self._z(exact, kks, "variance")) <= 4.0
