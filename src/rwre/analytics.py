@@ -16,7 +16,9 @@ one-step recursions
 
 seeded deep enough in the window that the seeding error is attenuated below
 1e-20.  The recursions drive the bulk ``MomentProfile``; the series functions
-cross-check them site by site.
+cross-check them site by site.  Law-level constants (``summary``) realize no
+window: closed forms for i.i.d. laws, and for quasi-periodic laws the same
+recursions run over a grid of circle phases and averaged.
 
 The profile runs the recursions as a block scan: each block's affine
 transfer carries start values across block boundaries, and every block then
@@ -34,15 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import (
-    Constant,
     EnvironmentModel,
     EnvironmentWindow,
-    IidDiscrete,
-    IidParametric,
     QuasiPeriodic,
     mean_log_odds,
     odds_growth_rate,
-    realize,
     suggested_burn_in,
 )
 from .errors import (
@@ -50,6 +48,7 @@ from .errors import (
     ModelError,
     NonSummableError,
     NotCltEligibleError,
+    QuadratureError,
     WindowTooSmallError,
 )
 
@@ -78,6 +77,8 @@ _MIN_BURN = 32
 # a run of up to _SCAN_BLOCK sites is one block, i.e. the sequential loop
 _SCAN_CHUNK = 1 << 14
 _SCAN_BLOCK = 64
+# largest phase grid of the quasi-periodic circle averages
+_CIRCLE_GRID_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -512,22 +513,21 @@ class SummaryStatistics:
     ``mu`` is the mean crossing time, ``sigma2`` the mean quenched crossing
     variance, and ``sigma_star`` the position-fluctuation scale with
     sigma_star^2 = mu^-3 sigma2 (recomputed from the stored values, so the
-    identity holds exactly).  The two closed-form variance fields carry the
-    algebraic variants evaluated for i.i.d.-type laws: the variants disagree
-    (one has a factor 1+r1, the other 1+r1^2) and only the former matches
-    the independent oracles; both are reported and the mismatch is flagged
-    rather than silently resolved.
+    identity holds exactly).  All are exact law constants, and the methods
+    say how they were computed: "closed-form" for i.i.d.-type laws,
+    "circle-average" for quasi-periodic ones.  The two closed-form variance
+    fields carry the algebraic variants evaluated for i.i.d.-type laws: the
+    variants disagree (one has a factor 1+r1, the other 1+r1^2) and only the
+    former matches the independent oracles, so ``sigma2`` equals it; both
+    are reported and the mismatch is flagged rather than silently resolved.
     """
 
     log_odds_mean: float
-    log_odds_se: float
     r1: float
     r2: float
     mu: float
-    mu_se: float
     mu_method: str
     sigma2: float
-    sigma2_se: float
     sigma2_method: str
     sigma_star: float
     sigma2_closed_form: float | None = None
@@ -560,83 +560,81 @@ def closed_form_variance_printed(r1: float, r2: float) -> float:
     return 4.0 * (r1 + r2) * (1.0 + r1**2) / ((1.0 - r1) ** 2 * (1.0 - r2))
 
 
-def _ergodic_moments(model: EnvironmentModel, budget: int, seed: int):
-    """Window averages of the site moments with crude batch-means errors."""
-    margin = suggested_burn_in(model)
-    window = realize(model, -margin, budget - 1, seed)
-    profile = MomentProfile(window)
-    mu_arr = profile.mu_array(budget)
-    sg_arr = profile.sigma2_array(budget)
+def _law_moments(model: EnvironmentModel, r1: float, r2: float) -> tuple[float, float]:
+    """Law-level (mu, sigma2): mean crossing time and mean crossing variance.
 
-    def batch_se(arr: np.ndarray) -> float:
-        block = 256
-        nblocks = len(arr) // block
-        if nblocks < 4:
-            return float(arr.std(ddof=1) / math.sqrt(len(arr)))
-        means = arr[: nblocks * block].reshape(nblocks, block).mean(axis=1)
-        return float(means.std(ddof=1) / math.sqrt(nblocks))
-
-    return (
-        float(mu_arr.mean()),
-        batch_se(mu_arr),
-        float(sg_arr.mean()),
-        batch_se(sg_arr),
+    I.i.d.-type laws use the closed forms (1+r1)/(1-r1) and
+    ``closed_form_variance`` (sigma2 is inf when r2 >= 1).  Quasi-periodic
+    laws use circle averages: the one-step recursions run along the orbits
+    that end at each phase of an equispaced midpoint grid, seeded
+    ``suggested_burn_in`` steps back as in ``MomentProfile``, and the grid
+    doubles from 64 phases until both averages repeat to 1e-12 relative.
+    """
+    if not isinstance(model, QuasiPeriodic):
+        sigma2 = closed_form_variance(r1, r2) if r2 < 1.0 else math.inf
+        return (1.0 + r1) / (1.0 - r1), sigma2
+    burn = suggested_burn_in(model)
+    prev = None
+    n = 64
+    while n <= _CIRCLE_GRID_CAP:
+        phases = (np.arange(n) + 0.5) / n
+        mu = np.ones(n)
+        var = np.zeros(n)
+        for j in range(burn - 1, -1, -1):
+            p = model.p_of_phase(np.mod(phases - j * model.alpha, 1.0))
+            a = (1.0 - p) / p
+            var = a * (var + (mu + 1.0) ** 2 / p)
+            mu = a * mu + 1.0 / p
+        cur = (float(mu.mean()), float(var.mean()))
+        if prev is not None and all(abs(c - b) <= 1e-12 * c for c, b in zip(cur, prev)):
+            return cur
+        prev = cur
+        n *= 2
+    raise QuadratureError(
+        f"circle averages of the crossing moments did not stabilize at {_CIRCLE_GRID_CAP} phases"
     )
 
 
-def summary(
-    model: EnvironmentModel,
-    *,
-    budget: int = 200_000,
-    seed: int = 0,
-) -> SummaryStatistics:
+def summary(model: EnvironmentModel) -> SummaryStatistics:
     """Global law summary: drift, growth rates, mean crossing time, crossing
     variance, and the position scale.
 
     Raises NotCltEligibleError unless the drift is negative and the order-2
-    growth rate is below 1.  The mean uses the i.i.d. closed form
-    (1+r1)/(1-r1) where applicable; the variance is primarily the ergodic
-    average of the site variances, with the closed-form variants recorded
-    alongside for audit.
+    growth rate is below 1.  Every value is exact: i.i.d.-type laws use the
+    closed forms (method "closed-form"), quasi-periodic laws the circle
+    averages of ``_law_moments`` (method "circle-average"); no environment
+    is realized.  For i.i.d.-type laws both closed-form variance variants
+    are recorded for audit, and the printed one is flagged when it differs
+    from sigma2 by more than 1e-9 relative.
     """
-    lam = mean_log_odds(model)
-    r1 = odds_growth_rate(model, 1.0)
-    r2 = odds_growth_rate(model, 2.0)
-    if lam.value >= -1e-9:
+    lam = mean_log_odds(model).value
+    r1 = odds_growth_rate(model, 1.0).value
+    r2 = odds_growth_rate(model, 2.0).value
+    if lam >= -1e-9:
         raise NotCltEligibleError(
-            f"mean log odds {lam.value:.6g} is not negative; walk is not transient right"
+            f"mean log odds {lam:.6g} is not negative; walk is not transient right"
         )
-    if r2.value >= 1.0:
+    if r2 >= 1.0:
         raise NotCltEligibleError(
-            f"order-2 growth rate {r2.value:.6g} >= 1; crossing variance is not integrable"
+            f"order-2 growth rate {r2:.6g} >= 1; crossing variance is not integrable"
         )
-
-    iid_like = isinstance(model, (Constant, IidDiscrete, IidParametric))
-    erg_mu, erg_mu_se, erg_sg, erg_sg_se = _ergodic_moments(model, budget, seed)
-    if iid_like:
-        mu, mu_se, mu_method = (1.0 + r1.value) / (1.0 - r1.value), 0.0, "closed-form"
+    mu, sigma2 = _law_moments(model, r1, r2)
+    closed = closed_printed = mismatch = None
+    if isinstance(model, QuasiPeriodic):
+        method = "circle-average"
     else:
-        mu, mu_se, mu_method = erg_mu, erg_mu_se, "ergodic-average"
-    sigma2, sigma2_se, sigma2_method = erg_sg, erg_sg_se, "ergodic-average"
-
-    closed = closed_printed = None
-    mismatch = None
-    if iid_like:
-        closed = closed_form_variance(r1.value, r2.value)
-        closed_printed = closed_form_variance_printed(r1.value, r2.value)
-        slack = 10.0 * (sigma2_se + 1e-9 * max(sigma2, 1.0))
-        mismatch = abs(closed_printed - sigma2) > slack and abs(closed - sigma2) <= slack
+        method = "closed-form"
+        closed = sigma2
+        closed_printed = closed_form_variance_printed(r1, r2)
+        mismatch = abs(closed_printed - sigma2) > 1e-9 * sigma2
     return SummaryStatistics(
-        log_odds_mean=lam.value,
-        log_odds_se=lam.se,
-        r1=r1.value,
-        r2=r2.value,
+        log_odds_mean=lam,
+        r1=r1,
+        r2=r2,
         mu=mu,
-        mu_se=mu_se,
-        mu_method=mu_method,
+        mu_method=method,
         sigma2=sigma2,
-        sigma2_se=sigma2_se,
-        sigma2_method=sigma2_method,
+        sigma2_method=method,
         sigma_star=0.0,  # recomputed in __post_init__
         sigma2_closed_form=closed,
         sigma2_closed_form_printed=closed_printed,
@@ -644,29 +642,15 @@ def summary(
     )
 
 
-def reference_crossing_mean(model: EnvironmentModel, *, tol: float = 1e-12,
-                            grid: int = 4096) -> float:
+def reference_crossing_mean(model: EnvironmentModel) -> float:
     """Law-level mean crossing time, independent of any single orbit.
 
-    For quasi-periodic laws this is the circle average of the crossing-mean
-    series evaluated on a phase grid, which is the correct reference even
-    when the rotation number is rational and single-orbit averages converge
-    to the wrong value.  I.i.d.-type laws use the closed form.  Raises
-    NotCltEligibleError when the order-1 growth rate is not below 1.
+    The closed form for i.i.d.-type laws; for quasi-periodic laws the circle
+    average, which is the correct reference even when the rotation number
+    is rational and single-orbit averages converge to the wrong value.
+    Raises NotCltEligibleError when the order-1 growth rate is not below 1.
     """
-    r1 = odds_growth_rate(model, 1.0)
-    if r1.value >= 1.0:
-        raise NotCltEligibleError(f"order-1 growth rate {r1.value:.6g} >= 1; mean diverges")
-    if isinstance(model, (Constant, IidDiscrete, IidParametric)):
-        return (1.0 + r1.value) / (1.0 - r1.value)
-    assert isinstance(model, QuasiPeriodic)
-    phases = (np.arange(grid) + 0.5) / grid
-    total = np.ones(grid)
-    prod = np.ones(grid)
-    for m in range(200_000):
-        p = model.p_of_phase(np.mod(phases - m * model.alpha, 1.0))
-        prod = prod * (1.0 - p) / p
-        total = total + 2.0 * prod
-        if prod.max() < tol * total.min():
-            return float(total.mean())
-    raise NonSummableError("circle-average crossing-mean series did not converge")
+    r1 = odds_growth_rate(model, 1.0).value
+    if r1 >= 1.0:
+        raise NotCltEligibleError(f"order-1 growth rate {r1:.6g} >= 1; mean diverges")
+    return _law_moments(model, r1, odds_growth_rate(model, 2.0).value)[0]

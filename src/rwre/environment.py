@@ -12,7 +12,7 @@ is achieved with a counter-based hash of ``(seed, k)``; quasi-periodic laws
 are deterministic by construction.
 
 Law functionals are closed forms or deterministic quadratures (Gauss-Legendre
-in x = ln A for parametric laws), so none carries a standard error.
+in x = ln A for parametric laws), so none carries a sampling error.
 """
 
 from __future__ import annotations
@@ -356,10 +356,9 @@ def odds_ratio(window: EnvironmentWindow, k: int) -> float:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A numeric value with a standard error and the method that produced it."""
+    """A law functional's value and the method that produced it."""
 
     value: float
-    se: float
     method: str
 
 
@@ -453,13 +452,13 @@ def mean_log_odds(model: EnvironmentModel) -> Estimate:
 
     Its sign decides the transience direction.  Closed form for constant and
     finitely supported laws, quadrature for quasi-periodic and parametric
-    laws; the standard error is always 0.
+    laws.
     """
     if isinstance(model, (Constant, IidDiscrete)):
-        return Estimate(_atom_mean(model, lambda p: math.log((1.0 - p) / p)), 0.0, "closed-form")
+        return Estimate(_atom_mean(model, lambda p: math.log((1.0 - p) / p)), "closed-form")
     if isinstance(model, QuasiPeriodic):
-        return Estimate(_qp_lambda(model), 0.0, "quadrature")
-    return Estimate(_parametric_mean(model, lambda x: x), 0.0, "quadrature")
+        return Estimate(_qp_lambda(model), "quadrature")
+    return Estimate(_parametric_mean(model, lambda x: x), "quadrature")
 
 
 class Regime(Enum):
@@ -509,12 +508,12 @@ def odds_growth_rate(
     if gamma is not None and kappa > gamma:
         raise ModelError(f"kappa: must not exceed gamma={gamma}, got {kappa}")
     if kappa == 0:
-        return Estimate(1.0, 0.0, "closed-form")
+        return Estimate(1.0, "closed-form")
     if isinstance(model, (Constant, IidDiscrete)):
-        return Estimate(_atom_mean(model, lambda p: ((1.0 - p) / p) ** kappa), 0.0, "closed-form")
+        return Estimate(_atom_mean(model, lambda p: ((1.0 - p) / p) ** kappa), "closed-form")
     if isinstance(model, QuasiPeriodic):
-        return Estimate(math.exp(kappa * _qp_lambda(model)), 0.0, "quadrature")
-    return Estimate(_parametric_mean(model, lambda x: np.exp(kappa * x)), 0.0, "quadrature")
+        return Estimate(math.exp(kappa * _qp_lambda(model)), "quadrature")
+    return Estimate(_parametric_mean(model, lambda x: np.exp(kappa * x)), "quadrature")
 
 
 # ---------------------------------------------------------------------------

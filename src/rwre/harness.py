@@ -78,7 +78,9 @@ class ExperimentConfig:
     as children of the master seed.  ``max_steps`` caps hitting, LLN and
     trajectory runs only: X(t) always takes exactly t steps.  ``workers``
     is accepted and recorded in the manifest but has no effect: every
-    sampler runs in one process.
+    sampler runs in one process.  ``tol`` is the series tolerance of the
+    per-site moments in the oracle audit.  The law-level constants
+    (``analytics.summary``) are exact and take no setting.
     """
 
     model: EnvironmentModel
@@ -101,7 +103,6 @@ class ExperimentConfig:
     max_steps: int | None = None
     workers: int = 1
     tol: float = 1e-12
-    summary_budget: int = 200_000
 
     def __post_init__(self) -> None:
         if self.replicas < 100:
@@ -246,7 +247,7 @@ def clt_hitting(config: ExperimentConfig) -> ExperimentReport:
     window-averaged crossing variance (the self-consistent quenched scale),
     then measures the KS distance to the standard normal CDF.
     """
-    summ = analytics.summary(config.model, budget=config.summary_budget)
+    summ = analytics.summary(config.model)
     n = config.n
     budget = _budget(config, walk.default_max_steps(n, summ.mu))
 
@@ -269,7 +270,7 @@ def clt_position(config: ExperimentConfig) -> ExperimentReport:
     the same window the walkers run in; the scale is sqrt(t) times the
     window's self-consistent position scale.
     """
-    summ = analytics.summary(config.model, budget=config.summary_budget)
+    summ = analytics.summary(config.model)
     t = config.t
     guard = _left_guard(config)
 
@@ -322,7 +323,7 @@ def lln_check(config: ExperimentConfig, *, rel_tol: float | None = None) -> LlnR
     if lam.value >= 0:
         raise NotCltEligibleError("LLN experiment requires a transient-right law")
     positive_speed = odds_growth_rate(config.model, 1.0).value < 1.0
-    mu = analytics.reference_crossing_mean(config.model, tol=config.tol) if positive_speed else None
+    mu = analytics.reference_crossing_mean(config.model) if positive_speed else None
 
     n_max = config.n
     t_max = config.t
@@ -384,7 +385,7 @@ class VarianceRatioReport:
 
 def variance_ratio_check(config: ExperimentConfig, *, ratio_tol: float = 0.05) -> VarianceRatioReport:
     """Checks sum_{k<n} var_k ~ n sigma2 and that no single site dominates."""
-    summ = analytics.summary(config.model, budget=config.summary_budget)
+    summ = analytics.summary(config.model)
     n_grid = config.n_grid or _geometric_grid(config.n)
     env_seed = config.resolved_env_seed()
     window = _experiment_window(config, max(n_grid) + 1, env_seed, 8)
@@ -438,7 +439,7 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
     qualitative trends (medians decreasing with scale), as no convergence
     rate is available in general.
     """
-    summ = analytics.summary(config.model, budget=config.summary_budget)
+    summ = analytics.summary(config.model)
     t_grid = config.t_grid or (1000, 10_000, 100_000)
     n_grid = config.n_grid or (100, 1000, 10_000)
     x_grid = config.x_grid
@@ -552,7 +553,6 @@ def uniform_ergodicity_estimate(
     starts: int = 2000,
     *,
     seed: int = 0,
-    tol: float = 1e-12,
     plateau_tol: float = 1e-3,
 ) -> ErgodicityReport:
     """eps_n = max over starts k of |(1/n) sum_{j=k+1..k+n} (mu_j - mu_ref)|.
@@ -562,7 +562,7 @@ def uniform_ergodicity_estimate(
     is flagged as not uniformly ergodic.
     """
     n_grid = tuple(int(n) for n in n_grid)
-    mu_ref = analytics.reference_crossing_mean(model, tol=tol)
+    mu_ref = analytics.reference_crossing_mean(model)
     margin = suggested_burn_in(model)
     window = realize(model, -margin, starts + max(n_grid) + 2, seed)
     profile = MomentProfile(window)
@@ -622,7 +622,7 @@ def coupling_identity_check(
     default step cap comes from its law-level mean crossing time.
     """
     n_goal = config.n
-    mu = analytics.reference_crossing_mean(config.model, tol=config.tol)
+    mu = analytics.reference_crossing_mean(config.model)
     budget = _budget(config, walk.default_max_steps(n_goal, mu))
     env_seed = config.resolved_env_seed()
     window = _experiment_window(config, n_goal + 1, env_seed, budget.left_guard)

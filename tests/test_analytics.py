@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwre import analytics
 from rwre.analytics import (
     MomentProfile,
     _burn_start,
@@ -15,6 +16,7 @@ from rwre.analytics import (
     fluctuation_series,
     hitting_centering,
     implicit_centering,
+    reference_crossing_mean,
     signed_range_sum,
     site_mean,
     site_variance,
@@ -401,10 +403,31 @@ class TestSummary:
         assert s.sigma2 == pytest.approx(expected, rel=0.02)
         assert closed_form_variance_printed(r1, r2) < expected
 
-    def test_ergodic_average_quasi_periodic(self, golden_qp):
-        s = summary(golden_qp, budget=100_000)
-        assert s.mu_method == "ergodic-average"
-        assert s.mu > 1.0
-        assert s.sigma2 > 0.0
+    def test_circle_average_quasi_periodic(self, golden_qp):
+        s = summary(golden_qp)
+        assert s.mu_method == s.sigma2_method == "circle-average"
+        # unique ergodicity: one long orbit's site averages are an
+        # independent route to the same circle averages
+        n = 200_000
+        profile = MomentProfile(realize(golden_qp, -suggested_burn_in(golden_qp), n - 1, seed=0))
+        assert s.mu == pytest.approx(float(profile.mu_array(n).mean()), rel=1e-4)
+        assert s.sigma2 == pytest.approx(float(profile.sigma2_array(n).mean()), rel=1e-4)
         # uniquely ergodic law: the exponential growth-rate form holds
         assert s.r1 == pytest.approx(math.exp(s.log_odds_mean), rel=1e-12)
+
+    def test_slow_law_exact_variance(self):
+        # r1 = 7/9, r2 = 65/81: sigma2 = 1152 exactly, the printed variant 1040
+        s = summary(IidDiscrete(atoms=((0.75, 0.5), (0.45, 0.5))))
+        assert s.mu == pytest.approx(8.0, rel=1e-12)
+        assert s.sigma2 == pytest.approx(1152.0, rel=1e-12)
+        assert s.sigma2_closed_form_printed == pytest.approx(1040.0, rel=1e-12)
+        assert s.closed_form_mismatch is True
+
+    def test_no_realized_environment(self, monkeypatch, two_point, golden_qp,
+                                     uniform_parametric):
+        def refuse(self, window):
+            raise AssertionError("law-level summary realized an environment")
+
+        monkeypatch.setattr(analytics.MomentProfile, "__init__", refuse)
+        for model in (Constant(0.75), two_point, uniform_parametric, golden_qp):
+            assert summary(model).mu == reference_crossing_mean(model)

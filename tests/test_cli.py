@@ -92,11 +92,12 @@ class TestErrors:
         assert "model.p" in capsys.readouterr().err
 
     def test_unknown_experiment_field(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "bad.json", {"type": "constant", "p": 0.75}, {"n_steps": 5}
-        )
-        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "n_steps" in capsys.readouterr().err
+        for field in ("n_steps", "summary_budget"):
+            cfg = write_config(
+                tmp_path / "bad.json", {"type": "constant", "p": 0.75}, {field: 5}
+            )
+            assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert field in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.json"),

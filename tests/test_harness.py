@@ -221,7 +221,7 @@ class TestDiagnostics:
     def test_quasi_periodic_bound_by_ergodicity(self, golden_qp):
         from rwre.analytics import summary
 
-        s = summary(golden_qp, budget=100_000)
+        s = summary(golden_qp)
         t = 10_000
         x = 1.0
         cfg = ExperimentConfig(
