@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import (
+    RECURRENCE_TOL,
     EnvironmentModel,
     EnvironmentWindow,
     QuasiPeriodic,
@@ -83,24 +84,20 @@ _CIRCLE_GRID_CAP = 1 << 14
 
 @dataclass(frozen=True)
 class SiteMoments:
-    """Crossing-time moments at one site, with truncation accounting.
+    """Crossing-time moments at one site.
 
     ``mu`` is the quenched expected crossing time (always >= 1), ``sigma2``
     the quenched variance (>= 0, None when only the mean was requested).
     ``*_recursion`` carry the independent one-step recursion values used for
-    cross-checking; truncation bounds come from the observed geometric decay
-    of the series terms.
+    cross-checking; ``mu_trunc_bound`` comes from the observed geometric
+    decay of the series terms.
     """
 
-    k: int
     odds: float
     mu: float
     mu_trunc_bound: float
-    mu_terms: int
     mu_recursion: float
     sigma2: float | None = None
-    sigma2_trunc_bound: float | None = None
-    sigma2_terms: int | None = None
     sigma2_recursion: float | None = None
 
 
@@ -127,20 +124,13 @@ def _tail_failure(window: EnvironmentWindow, k: int, ratios: deque) -> Exception
     )
 
 
-def site_mean(
-    window: EnvironmentWindow,
-    k: int,
-    *,
-    tol: float = 1e-12,
-    max_terms: int = 100_000,
-) -> SiteMoments:
+def site_mean(window: EnvironmentWindow, k: int, *, tol: float = 1e-12) -> SiteMoments:
     """Expected crossing time of edge k -> k+1 for the quenched environment.
 
     Sums 1 + 2*sum_j prod_{i=k-j..k} A_i until the running product drops
-    below tol times the partial sum.  Raises NonSummableError when the
-    products do not decay (non-negative drift or the term cap), and
-    WindowTooSmallError when the window ends while the terms are still
-    decaying.
+    below tol times the partial sum.  When the window ends first, raises
+    NonSummableError if the products do not decay (non-negative drift) and
+    WindowTooSmallError if they are still decaying.
     """
     if k not in window:
         raise WindowTooSmallError(f"site {k} outside window [{window.lo}, {window.hi}]")
@@ -150,10 +140,6 @@ def site_mean(
     ratios: deque = deque(maxlen=24)
     j = 0
     while True:
-        if j >= max_terms:
-            raise NonSummableError(
-                f"series at site {k}: no convergence within max_terms={max_terms}"
-            )
         i = k - j
         if i < window.lo:
             raise _tail_failure(window, k, ratios)
@@ -170,18 +156,10 @@ def site_mean(
     m = 1.0
     for i in range(start + 1, k + 1):
         m = window.odds(i) * m + 1.0 / window.site(i)
-    return SiteMoments(
-        k=k, odds=odds_k, mu=total, mu_trunc_bound=bound, mu_terms=j + 1, mu_recursion=m
-    )
+    return SiteMoments(odds=odds_k, mu=total, mu_trunc_bound=bound, mu_recursion=m)
 
 
-def site_variance(
-    window: EnvironmentWindow,
-    k: int,
-    *,
-    tol: float = 1e-12,
-    max_terms: int = 100_000,
-) -> SiteMoments:
+def site_variance(window: EnvironmentWindow, k: int, *, tol: float = 1e-12) -> SiteMoments:
     """Quenched variance of the crossing time of edge k -> k+1.
 
     Sums sum_j (1/p_{k-j}) (mean_{k-j-1} + 1)^2 prod_{i=k-j..k} A_i, feeding
@@ -189,7 +167,7 @@ def site_variance(
     the window.  The one-step variance recursion is returned alongside as an
     independent check.
     """
-    mean_part = site_mean(window, k, tol=tol, max_terms=max_terms)
+    mean_part = site_mean(window, k, tol=tol)
     start = _burn_start(window, k)
     # warm both recursions from the seed site up to k
     mu_arr = np.empty(k - start + 1)
@@ -205,10 +183,6 @@ def site_variance(
     ratios: deque = deque(maxlen=24)
     j = 0
     while True:
-        if j >= max_terms:
-            raise NonSummableError(
-                f"variance series at site {k}: no convergence within max_terms={max_terms}"
-            )
         i = k - j
         if i - 1 < start:
             raise _tail_failure(window, k, ratios)
@@ -219,18 +193,12 @@ def site_variance(
         if prod < tol * max(total, 1.0) and term < tol * max(total, 1.0):
             break
         j += 1
-    rho = _decay_ratio(ratios)
-    bound = term * rho / (1.0 - rho) if total > 0 else 0.0
     return SiteMoments(
-        k=k,
         odds=mean_part.odds,
         mu=mean_part.mu,
         mu_trunc_bound=mean_part.mu_trunc_bound,
-        mu_terms=mean_part.mu_terms,
         mu_recursion=mean_part.mu_recursion,
         sigma2=total,
-        sigma2_trunc_bound=bound,
-        sigma2_terms=j + 1,
         sigma2_recursion=var_rec,
     )
 
@@ -404,8 +372,6 @@ class MomentProfile:
             self._grow(min(len(self._mu) + self._BLOCK, cap))
         b = int(np.searchsorted(self._prefix, t, side="right")) - 1
         return CenteringValues(
-            t=t,
-            explicit=None,
             implicit=b,
             centering_below=float(self._prefix[b]),
             centering_above=float(self._prefix[b + 1]),
@@ -421,16 +387,12 @@ class MomentProfile:
 
 @dataclass(frozen=True)
 class CenteringValues:
-    """Explicit and/or implicit position centerings at one time t.
+    """The implicit position centering at one time t: the integer b with
+    ``centering_below`` = H(b) <= t < H(b+1) = ``centering_above``."""
 
-    For the implicit value b, ``centering_below <= t < centering_above``
-    always holds (the defining bracket)."""
-
-    t: float
-    explicit: float | None
-    implicit: int | None
-    centering_below: float | None = None
-    centering_above: float | None = None
+    implicit: int
+    centering_below: float
+    centering_above: float
 
 
 def hitting_centering(window: EnvironmentWindow, n: float) -> float:
@@ -513,22 +475,22 @@ class SummaryStatistics:
     ``mu`` is the mean crossing time, ``sigma2`` the mean quenched crossing
     variance, and ``sigma_star`` the position-fluctuation scale with
     sigma_star^2 = mu^-3 sigma2 (recomputed from the stored values, so the
-    identity holds exactly).  All are exact law constants, and the methods
-    say how they were computed: "closed-form" for i.i.d.-type laws,
-    "circle-average" for quasi-periodic ones.  The two closed-form variance
-    fields carry the algebraic variants evaluated for i.i.d.-type laws: the
-    variants disagree (one has a factor 1+r1, the other 1+r1^2) and only the
-    former matches the independent oracles, so ``sigma2`` equals it; both
-    are reported and the mismatch is flagged rather than silently resolved.
+    identity holds exactly).  All are exact law constants, and ``method``
+    says how mu and sigma2 were computed: "closed-form" for i.i.d.-type
+    laws, "circle-average" for quasi-periodic ones.  The two closed-form
+    variance fields carry the algebraic variants evaluated for i.i.d.-type
+    laws: the variants disagree (one has a factor 1+r1, the other 1+r1^2)
+    and only the former matches the independent oracles, so ``sigma2``
+    equals it; both are reported and the mismatch is flagged rather than
+    silently resolved.
     """
 
     log_odds_mean: float
     r1: float
     r2: float
     mu: float
-    mu_method: str
+    method: str
     sigma2: float
-    sigma2_method: str
     sigma_star: float
     sigma2_closed_form: float | None = None
     sigma2_closed_form_printed: float | None = None
@@ -610,7 +572,7 @@ def summary(model: EnvironmentModel) -> SummaryStatistics:
     lam = mean_log_odds(model).value
     r1 = odds_growth_rate(model, 1.0).value
     r2 = odds_growth_rate(model, 2.0).value
-    if lam >= -1e-9:
+    if lam >= -RECURRENCE_TOL:
         raise NotCltEligibleError(
             f"mean log odds {lam:.6g} is not negative; walk is not transient right"
         )
@@ -632,9 +594,8 @@ def summary(model: EnvironmentModel) -> SummaryStatistics:
         r1=r1,
         r2=r2,
         mu=mu,
-        mu_method=method,
+        method=method,
         sigma2=sigma2,
-        sigma2_method=method,
         sigma_star=0.0,  # recomputed in __post_init__
         sigma2_closed_form=closed,
         sigma2_closed_form_printed=closed_printed,

@@ -322,7 +322,8 @@ def _oracle_check_report(config: ExperimentConfig) -> dict:
                 "mismatch_flagged": summ.closed_form_mismatch,
             },
             "mu_table": {
-                "closed_form": summ.mu,
+                "exact": summ.mu,
+                "method": summ.method,
                 "monte_carlo": mc.mean,
                 "monte_carlo_se": mc.mean_se,
             },
@@ -346,26 +347,8 @@ def _diagnostics_report(config: ExperimentConfig) -> dict:
     return {
         "kind": "diagnostics",
         "model": model_to_dict(config.model),
-        "t_grid": list(diag.t_grid),
-        "x_grid": list(diag.x_grid),
-        "explicit_window_sums": diag.explicit_window_sums,
-        "explicit_window_sums_shifted": diag.explicit_window_sums_shifted,
-        "implicit_window_sums": diag.implicit_window_sums,
-        "n_grid": list(diag.n_grid),
-        "scaled_range": diag.scaled_range,
-        "max_abs_over_sqrt": diag.max_abs_over_sqrt,
-        "max_abs_over_n": diag.max_abs_over_n,
-        "centered_sum_scaled": diag.centered_sum_scaled,
-        "diag_c": diag.diag_c,
-        "explicit_decreasing": diag.explicit_decreasing,
-        "ergodicity": {
-            "n_grid": list(erg.n_grid),
-            "epsilon": list(erg.epsilon),
-            "reference_mean": erg.reference_mean,
-            "decreasing": erg.decreasing,
-            "uniformly_ergodic": erg.uniformly_ergodic,
-        },
-        "env_seeds": list(diag.env_seeds),
+        **dataclasses.asdict(diag),
+        "ergodicity": dataclasses.asdict(erg),
     }
 
 

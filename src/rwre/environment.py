@@ -18,8 +18,6 @@ in x = ln A for parametric laws), so none carries a sampling error.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -50,12 +48,12 @@ __all__ = [
     "check_conditions",
     "model_to_dict",
     "model_from_dict",
-    "model_id",
     "suggested_left_guard",
     "suggested_burn_in",
 ]
 
 _PHASE_GRID = 8192  # density of the validation grid for quasi-periodic p(.)
+RECURRENCE_TOL = 1e-9  # |E ln A| at or below this is classified recurrent
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +234,6 @@ def model_from_dict(data: dict) -> EnvironmentModel:
     raise ModelError(f"model.type: unknown model type {tag!r}")
 
 
-def model_id(model: EnvironmentModel) -> str:
-    blob = json.dumps(model_to_dict(model), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
 # ---------------------------------------------------------------------------
 # counter-based per-site randomness
 
@@ -284,8 +277,6 @@ class EnvironmentWindow:
     lo: int
     hi: int
     p: np.ndarray
-    model_id: str
-    seed: int
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
@@ -314,9 +305,9 @@ class EnvironmentWindow:
         return (1.0 - self.p) / self.p
 
     @classmethod
-    def from_values(cls, p, lo: int = 0, seed: int = 0, tag: str = "explicit") -> "EnvironmentWindow":
+    def from_values(cls, p, lo: int = 0) -> "EnvironmentWindow":
         p = np.asarray(p, dtype=np.float64)
-        return cls(lo=lo, hi=lo + len(p) - 1, p=p, model_id=tag, seed=seed)
+        return cls(lo=lo, hi=lo + len(p) - 1, p=p)
 
 
 def realize(model: EnvironmentModel, lo: int, hi: int, seed: int) -> EnvironmentWindow:
@@ -342,7 +333,7 @@ def realize(model: EnvironmentModel, lo: int, hi: int, seed: int) -> Environment
         p = model.p_of_phase(np.mod(model.omega0 + k * model.alpha, 1.0))
     else:
         raise ModelError(f"realize: unsupported model {model!r}")
-    return EnvironmentWindow(lo=lo, hi=hi, p=p, model_id=model_id(model), seed=seed)
+    return EnvironmentWindow(lo=lo, hi=hi, p=p)
 
 
 def odds_ratio(window: EnvironmentWindow, k: int) -> float:
@@ -475,18 +466,19 @@ class Classification:
     within_tolerance: bool
 
 
-def classify(model: EnvironmentModel, tol: float = 1e-9) -> Classification:
+def classify(model: EnvironmentModel) -> Classification:
     """Transience classification by the sign of the mean log odds.
 
-    ``|value| <= tol`` is reported as recurrent with a within-tolerance flag.
+    ``|value| <= RECURRENCE_TOL`` is reported as recurrent with a
+    within-tolerance flag.
     """
     est = mean_log_odds(model)
-    regime = _regime(est.value, tol)
-    return Classification(regime, est, tol, regime is Regime.RECURRENT)
+    regime = _regime(est.value)
+    return Classification(regime, est, RECURRENCE_TOL, regime is Regime.RECURRENT)
 
 
-def _regime(log_odds_mean: float, tol: float) -> Regime:
-    if abs(log_odds_mean) <= tol:
+def _regime(log_odds_mean: float) -> Regime:
+    if abs(log_odds_mean) <= RECURRENCE_TOL:
         return Regime.RECURRENT
     return Regime.TRANSIENT_RIGHT if log_odds_mean < 0 else Regime.TRANSIENT_LEFT
 
@@ -587,7 +579,7 @@ def check_conditions(model: EnvironmentModel, gamma: float) -> ConditionReport:
     else:
         holds_c3 = math.isfinite(evidence["E_p_neg_gamma"]) and math.isfinite(evidence["E_q_neg_gamma"])
 
-    regime = _regime(lam.value, 1e-9)
+    regime = _regime(lam.value)
     return ConditionReport(
         gamma=gamma,
         holds_c1=holds_c1,

@@ -25,7 +25,7 @@ class NotCltEligibleError(RwreError):
 
 
 class NonSummableError(RwreError):
-    """A site series does not converge (non-negative drift or cap reached)."""
+    """A site series does not converge (non-negative drift)."""
 
 
 class WindowTooSmallError(RwreError):

@@ -308,7 +308,7 @@ class LlnReport:
     walk_seed: int
 
 
-def lln_check(config: ExperimentConfig, *, rel_tol: float | None = None) -> LlnReport:
+def lln_check(config: ExperimentConfig) -> LlnReport:
     """Law-of-large-numbers check on one long joint trajectory.
 
     For positive-speed laws the verdict compares T(n)/n and X(t)/t to the
@@ -317,8 +317,6 @@ def lln_check(config: ExperimentConfig, *, rel_tol: float | None = None) -> LlnR
     config.lln_rel_tol relative error.  Zero-speed transient laws (order-1
     growth rate >= 1) get trend reporting only: X(t)/t should fall.
     """
-    if rel_tol is None:
-        rel_tol = config.lln_rel_tol
     lam = mean_log_odds(config.model)
     if lam.value >= 0:
         raise NotCltEligibleError("LLN experiment requires a transient-right law")
@@ -349,7 +347,7 @@ def lln_check(config: ExperimentConfig, *, rel_tol: float | None = None) -> LlnR
     if positive_speed:
         h_err = abs(hitting_ratios[-1] - mu) / mu
         p_err = abs(position_ratios[-1] - 1.0 / mu) * mu
-        verdict = h_err <= rel_tol and p_err <= rel_tol
+        verdict = h_err <= config.lln_rel_tol and p_err <= config.lln_rel_tol
     else:
         h_err = p_err = None
         verdict = position_ratios[-1] < position_ratios[0]
@@ -383,8 +381,8 @@ class VarianceRatioReport:
     share_vanishes: bool
 
 
-def variance_ratio_check(config: ExperimentConfig, *, ratio_tol: float = 0.05) -> VarianceRatioReport:
-    """Checks sum_{k<n} var_k ~ n sigma2 and that no single site dominates."""
+def variance_ratio_check(config: ExperimentConfig) -> VarianceRatioReport:
+    """Checks sum_{k<n} var_k ~ n sigma2 within 5% and that no single site dominates."""
     summ = analytics.summary(config.model)
     n_grid = config.n_grid or _geometric_grid(config.n)
     env_seed = config.resolved_env_seed()
@@ -399,7 +397,7 @@ def variance_ratio_check(config: ExperimentConfig, *, ratio_tol: float = 0.05) -
         n_grid=tuple(n_grid),
         ratio=ratio,
         max_share=share,
-        ratio_converges=abs(ratio[-1] - 1.0) <= ratio_tol,
+        ratio_converges=abs(ratio[-1] - 1.0) <= 0.05,
         share_vanishes=share[-1] <= max(10.0 / n_grid[-1], 0.05),
     )
 
@@ -429,7 +427,6 @@ class DiagnosticReport:
     diag_c: float
     explicit_decreasing: bool
     env_seeds: tuple[int, ...]
-    per_seed_explicit: np.ndarray           # shape (seeds, t, x)
 
 
 def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
@@ -451,13 +448,13 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
     k_needed = int(t_max / summ.mu + 8.0 * summ.sigma_star * math.sqrt(t_max) * (1 + x_span))
     k_needed = max(k_needed, n_max + int(n_max ** ((1 + c) / 2)) + 2, 256) + 64
 
-    per_seed_explicit = []
-    per_seed_explicit_shift = []
-    per_seed_implicit = []
-    per_seed_range = []
-    per_seed_hstar_sqrt = []
-    per_seed_hstar_n = []
-    per_seed_hscaled = []
+    by_seed_explicit = []
+    by_seed_explicit_shift = []
+    by_seed_implicit = []
+    by_seed_range = []
+    by_seed_hstar_sqrt = []
+    by_seed_hstar_n = []
+    by_seed_hscaled = []
     env_seeds = []
     for rep in range(config.env_replicates):
         env_seed = config.resolved_env_seed(rep)
@@ -483,9 +480,9 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
                 exp_sums[i, j] = seg(t / summ.mu, b_exp + shift) / math.sqrt(t)
                 exp_sums_shift[i, j] = seg(t / summ.mu, b_exp + shift - 1.0) / math.sqrt(t)
                 imp_sums[i, j] = seg(b_imp, b_imp + shift) / math.sqrt(t)
-        per_seed_explicit.append(exp_sums)
-        per_seed_explicit_shift.append(exp_sums_shift)
-        per_seed_implicit.append(imp_sums)
+        by_seed_explicit.append(exp_sums)
+        by_seed_explicit_shift.append(exp_sums_shift)
+        by_seed_implicit.append(imp_sums)
 
         rng_stat = []
         hs_sqrt = []
@@ -500,18 +497,18 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
             hs_sqrt.append(running / math.sqrt(n))
             hs_n.append(running / n)
             h_scaled.append(abs(prefix[n]) / n ** ((1 + c) / 2.0))
-        per_seed_range.append(rng_stat)
-        per_seed_hstar_sqrt.append(hs_sqrt)
-        per_seed_hstar_n.append(hs_n)
-        per_seed_hscaled.append(h_scaled)
+        by_seed_range.append(rng_stat)
+        by_seed_hstar_sqrt.append(hs_sqrt)
+        by_seed_hstar_n.append(hs_n)
+        by_seed_hscaled.append(h_scaled)
 
-    exp_med = np.median(np.abs(np.array(per_seed_explicit)), axis=0)
-    exp_shift_med = np.median(np.abs(np.array(per_seed_explicit_shift)), axis=0)
-    imp_med = np.median(np.abs(np.array(per_seed_implicit)), axis=0)
-    range_med = np.median(np.array(per_seed_range), axis=0)
-    hstar_sqrt_med = np.median(np.array(per_seed_hstar_sqrt), axis=0)
-    hstar_n_med = np.median(np.array(per_seed_hstar_n), axis=0)
-    hscaled_med = np.median(np.array(per_seed_hscaled), axis=0)
+    exp_med = np.median(np.abs(np.array(by_seed_explicit)), axis=0)
+    exp_shift_med = np.median(np.abs(np.array(by_seed_explicit_shift)), axis=0)
+    imp_med = np.median(np.abs(np.array(by_seed_implicit)), axis=0)
+    range_med = np.median(np.array(by_seed_range), axis=0)
+    hstar_sqrt_med = np.median(np.array(by_seed_hstar_sqrt), axis=0)
+    hstar_n_med = np.median(np.array(by_seed_hstar_n), axis=0)
+    hscaled_med = np.median(np.array(by_seed_hscaled), axis=0)
 
     decreasing = True
     for j, x in enumerate(x_grid):
@@ -532,7 +529,6 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
         diag_c=c,
         explicit_decreasing=decreasing,
         env_seeds=tuple(env_seeds),
-        per_seed_explicit=np.array(per_seed_explicit),
     )
 
 
@@ -553,13 +549,13 @@ def uniform_ergodicity_estimate(
     starts: int = 2000,
     *,
     seed: int = 0,
-    plateau_tol: float = 1e-3,
 ) -> ErgodicityReport:
     """eps_n = max over starts k of |(1/n) sum_{j=k+1..k+n} (mu_j - mu_ref)|.
 
     mu_ref is the law-level mean (circle average for quasi-periodic laws),
     so a rotation locked to a short rational orbit plateaus above zero and
-    is flagged as not uniformly ergodic.
+    is flagged as not uniformly ergodic.  Uniform ergodicity is reported
+    when eps decreases along the grid and ends below max(1e-3, eps_first / 4).
     """
     n_grid = tuple(int(n) for n in n_grid)
     mu_ref = analytics.reference_crossing_mean(model)
@@ -579,7 +575,7 @@ def uniform_ergodicity_estimate(
         epsilon=tuple(eps),
         reference_mean=mu_ref,
         decreasing=decreasing,
-        uniformly_ergodic=decreasing and eps[-1] < max(plateau_tol, eps[0] / 4.0),
+        uniformly_ergodic=decreasing and eps[-1] < max(1e-3, eps[0] / 4.0),
     )
 
 

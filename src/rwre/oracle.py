@@ -56,23 +56,21 @@ __all__ = [
 ]
 
 LAW_EPS = 1e-30
+_MC_MAX_ROUNDS = 10_000_000  # crossing rounds before the Monte Carlo route gives up
 
 
 @dataclass(frozen=True)
 class FiniteChainSolution:
     """Solution of the absorbing-boundary one-step system on [a, n].
 
-    ``h[k - a]`` is the solution at site k, with h(a) = h(n) = 0 imposed.
-    The forward-sweep auxiliaries phi (all in [0, 1)) and d_tilde are kept
-    for the boundary-limit diagnostics; ``residual`` is the largest
-    violation of the defining equation over interior sites.
+    ``h[k - a]`` is the solution at site k, with h(a) = h(n) = 0 imposed;
+    ``residual`` is the largest violation of the defining equation over
+    interior sites.
     """
 
     a: int
     n: int
     h: np.ndarray
-    phi: np.ndarray
-    d_tilde: np.ndarray
     residual: float
 
     def value(self, k: int) -> float:
@@ -90,13 +88,15 @@ def solve_finite_chain(
 ) -> FiniteChainSolution:
     """Exact solve of the two-sided absorbing system by sweep and substitution.
 
-    The forward sweep writes h_k = phi_k h_{k+1} + d_tilde_k with
+    The forward sweep writes h_k = phi_k h_{k+1} + d_k with
 
         phi_k = p_k / (1 - q_k phi_{k-1}),
-        d_tilde_k = (q_k d_tilde_{k-1} + f_k) / (1 - q_k phi_{k-1}),
+        d_k = (q_k d_{k-1} + f_k) / (1 - q_k phi_{k-1}),
 
-    seeded phi_a = d_tilde_a = 0; back substitution from h_n = 0 finishes.
-    ``f_values`` holds the interior forcing f_k for k = a+1..n-1.
+    seeded phi_a = d_a = 0; back substitution from h_n = 0 finishes.  d is
+    swept into ``h`` and the substitution overwrites it in place, so phi is
+    the only scratch array.  ``f_values`` holds the interior forcing f_k for
+    k = a+1..n-1.
     """
     if not a < n:
         raise ModelError(f"solve_finite_chain: need a < n, got a={a}, n={n}")
@@ -111,21 +111,26 @@ def solve_finite_chain(
         )
     size = n - a + 1
     p = window.p[a - window.lo : n - window.lo + 1]
-    q = 1.0 - p
-    phi = np.zeros(size)
-    d_tilde = np.zeros(size)
-    for idx in range(1, size - 1):  # interior sites a+1..n-1
-        den = 1.0 - q[idx] * phi[idx - 1]
-        phi[idx] = p[idx] / den
-        d_tilde[idx] = (q[idx] * d_tilde[idx - 1] + f[idx - 1]) / den
     h = np.zeros(size)
+    phi = np.zeros(size)
+    # Python floats through memoryviews: the same IEEE operations as numpy
+    # scalars, without their per-element boxing
+    pv, fv, hv, phiv = memoryview(p), memoryview(f), memoryview(h), memoryview(phi)
+    phi_k = d_k = 0.0
+    for idx in range(1, size - 1):  # interior sites a+1..n-1
+        q_k = 1.0 - pv[idx]
+        den = 1.0 - q_k * phi_k
+        phi_k = phiv[idx] = pv[idx] / den
+        d_k = hv[idx] = (q_k * d_k + fv[idx - 1]) / den
+    h_k = 0.0
     for idx in range(size - 2, 0, -1):
-        h[idx] = phi[idx] * h[idx + 1] + d_tilde[idx]
+        h_k = hv[idx] = phiv[idx] * h_k + hv[idx]
     interior = slice(1, size - 1)
+    q = 1.0 - p
     residual = float(
         np.max(np.abs(h[interior] - (p[interior] * h[2:] + q[interior] * h[:-2] + f)))
     ) if size > 2 else 0.0
-    return FiniteChainSolution(a=a, n=n, h=h, phi=phi, d_tilde=d_tilde, residual=residual)
+    return FiniteChainSolution(a=a, n=n, h=h, residual=residual)
 
 
 def expected_hitting_times(window: EnvironmentWindow, a: int, n: int) -> FiniteChainSolution:
@@ -169,8 +174,6 @@ def hitting_time_variances(window: EnvironmentWindow, a: int, n: int) -> FiniteC
 class ExactPmf:
     """Exact position law after t steps: support positions and probabilities."""
 
-    t: int
-    start: int
     support: np.ndarray
     probabilities: np.ndarray
 
@@ -274,7 +277,7 @@ def exact_position_distribution(window: EnvironmentWindow, z0: int, t: int) -> E
     if t < 0:
         raise ModelError(f"exact_position_distribution: t must be >= 0, got {t}")
     start, masses, _, _ = position_law(window, z0, t)
-    return ExactPmf(t=t, start=z0, support=start + 2 * np.arange(masses.size), probabilities=masses)
+    return ExactPmf(support=start + 2 * np.arange(masses.size), probabilities=masses)
 
 
 @dataclass(frozen=True)
@@ -293,8 +296,6 @@ def mc_crossing_moments(
     k: int,
     n_samples: int,
     seed: int,
-    *,
-    max_rounds: int = 10_000_000,
 ) -> MomentEstimate:
     """Direct simulation of n_samples crossings of edge k -> k+1.
 
@@ -312,7 +313,7 @@ def mc_crossing_moments(
     idx = np.arange(n_samples)
     x = np.full(n_samples, k, dtype=np.int64)
     target = k + 1
-    for _ in range(max_rounds):
+    for _ in range(_MC_MAX_ROUNDS):
         u = rng.random(len(idx))
         x += np.where(u < p[x - lo], 1, -1)
         if x.min() <= lo:
@@ -327,9 +328,9 @@ def mc_crossing_moments(
             if len(idx) == 0:
                 break
     else:
-        raise StepBudgetExceededError(f"crossings did not finish within {max_rounds} rounds")
-    if len(idx):
-        raise StepBudgetExceededError(f"{len(idx)} crossings unfinished after {max_rounds} rounds")
+        raise StepBudgetExceededError(
+            f"{len(idx)} crossings unfinished after {_MC_MAX_ROUNDS} rounds"
+        )
     mean = float(steps.mean())
     var = float(steps.var(ddof=1))
     centered = steps - mean

@@ -66,14 +66,12 @@ class SimulationBudget:
 class WalkObservation:
     """One replica's sampled crossing times, hitting times, and snapshots.
 
-    ``tau[j]`` is the crossing time of edge start+j -> start+j+1 and
-    ``hit[m] = sum_{j<m} tau[j]`` (so ``hit[0] = 0``).  Snapshots are
-    (t, X(t)) pairs at the requested times; ``path[t]`` is the full position
-    record when it was requested.
+    ``tau[j]`` is the crossing time of edge z0+j -> z0+j+1 from the start
+    z0, and ``hit[m] = sum_{j<m} tau[j]`` (so ``hit[0] = 0``).  Snapshots
+    are (t, X(t)) pairs at the requested times; ``path[t]`` is the full
+    position record when it was requested.
     """
 
-    replica_seed: int
-    start: int
     tau: np.ndarray
     hit: np.ndarray
     snapshots: tuple[tuple[int, int], ...] = ()
@@ -176,8 +174,6 @@ def _simulate(
         best = int(record[k - 1])
     hit = np.concatenate(fp)
     return WalkObservation(
-        replica_seed=-1,
-        start=z0,
         tau=np.diff(hit),
         hit=hit,
         snapshots=tuple(snaps),
@@ -297,10 +293,8 @@ def batch_positions(
     master_seed: int,
     n_replicas: int,
     left_guard: int,
-    *,
-    z0: int = 0,
 ) -> np.ndarray:
-    """X(t) for n_replicas independent replicas under one quenched window.
+    """X(t) from 0 for n_replicas independent replicas under one quenched window.
 
     The law of X(t) absorbed at -left_guard is computed once
     (``oracle.position_law``), and each replica inverts its CDF with its own
@@ -308,7 +302,7 @@ def batch_positions(
     """
     if left_guard < 1:
         raise ModelError(f"left_guard: must be >= 1, got {left_guard}")
-    start, masses, absorbed, _ = position_law(window, z0, t_steps, left_guard)
+    start, masses, absorbed, _ = position_law(window, 0, t_steps, left_guard)
     return start + 2 * _invert_law(masses, absorbed, 0.0, master_seed, n_replicas, left_guard)
 
 

@@ -376,7 +376,7 @@ class TestSummary:
     def test_two_point_mean(self, two_point):
         s = summary(two_point)
         assert s.mu == pytest.approx(35.0 / 13.0, rel=1e-12)
-        assert s.mu_method == "closed-form"
+        assert s.method == "closed-form"
 
     def test_not_eligible(self, zero_speed):
         with pytest.raises(NotCltEligibleError):
@@ -405,7 +405,7 @@ class TestSummary:
 
     def test_circle_average_quasi_periodic(self, golden_qp):
         s = summary(golden_qp)
-        assert s.mu_method == s.sigma2_method == "circle-average"
+        assert s.method == "circle-average"
         # unique ergodicity: one long orbit's site averages are an
         # independent route to the same circle averages
         n = 200_000

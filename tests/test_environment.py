@@ -266,7 +266,7 @@ class TestGrowthRate:
         assert odds_growth_rate(BETA_22, 1.0).value == pytest.approx(91 / 209, rel=1e-13)
         summ = summary(BETA_22)
         assert summ.mu == pytest.approx(150 / 59, rel=1e-13)
-        assert summ.mu_method == "closed-form"
+        assert summ.method == "closed-form"
 
     def test_log_convexity_across_models(self, two_point, zero_speed, golden_qp,
                                          uniform_parametric, rational_qp):

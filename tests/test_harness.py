@@ -146,8 +146,9 @@ class TestCltPosition:
 
 class TestLln:
     def test_constant(self):
-        cfg = ExperimentConfig(model=Constant(0.75), kind="lln", n=20_000, t=20_000, replicas=100)
-        rep = lln_check(cfg, rel_tol=0.05)
+        cfg = ExperimentConfig(model=Constant(0.75), kind="lln", n=20_000, t=20_000, replicas=100,
+                               lln_rel_tol=0.05)
+        rep = lln_check(cfg)
         assert rep.verdict
         assert rep.hitting_ratios[-1] == pytest.approx(2.0, rel=0.05)
         assert rep.position_ratios[-1] == pytest.approx(0.5, rel=0.05)

@@ -104,10 +104,17 @@ class TestSolveFiniteChain:
             f = rng.uniform(0.0, 3.0, size=49)
             sol = solve_finite_chain(w, -20, 30, f)
             assert sol.residual <= 1e-10
-            # phi < 1 holds in exact arithmetic; floats saturate at 1.0
-            assert np.all(sol.phi >= 0.0) and np.all(sol.phi <= 1.0)
             ref = banded_reference(w, -20, 30, f)
             assert np.allclose(sol.h, ref, atol=1e-9)
+        # a long chain: e (f = 1) and v (forcing derived from e), site by site
+        for seed in range(3):
+            w = realize(two_point, -2100, 20000, seed=seed)
+            e = expected_hitting_times(w, -2000, 20000)
+            v = hitting_time_variances(w, -2000, 20000)
+            for sol, f in ((e, np.ones(21999)), (v, forcing_terms(w, e)["derived"])):
+                ref = banded_reference(w, -2000, 20000, f)
+                gap = np.abs(sol.h[1:-1] - ref[1:-1])
+                assert np.all(gap <= 1e-12 * np.abs(ref[1:-1]))
 
     def test_argument_validation(self):
         w = realize(Constant(0.75), -10, 10, seed=0)

@@ -96,8 +96,6 @@ def stepped_simulate(window, z0, rng, *, left_guard, max_steps, n_stop=None, sna
             raise RightGuardBreachError(f"walker reached right window edge {hi} at step {t}")
     hit = np.array(fp, dtype=np.int64) if record_first_passage else np.zeros(1, dtype=np.int64)
     return WalkObservation(
-        replica_seed=-1,
-        start=z0,
         tau=np.diff(hit),
         hit=hit,
         snapshots=tuple(snaps),
@@ -406,7 +404,7 @@ class TestFirstPassageIndex:
         hit = np.concatenate([[0], np.cumsum(obs_tau)])  # (0, 1, 4, 5)
         from rwre.walk import WalkObservation
 
-        obs = WalkObservation(replica_seed=0, start=0, tau=obs_tau, hit=hit)
+        obs = WalkObservation(tau=obs_tau, hit=hit)
         assert first_passage_index(obs, 3) == 1
         assert first_passage_index(obs, 1) == 1  # t = T(1): left-closed bracket
         assert first_passage_index(obs, 4) == 2
@@ -415,9 +413,7 @@ class TestFirstPassageIndex:
     def test_too_short(self):
         from rwre.walk import WalkObservation
 
-        obs = WalkObservation(
-            replica_seed=0, start=0, tau=np.array([1]), hit=np.array([0, 1])
-        )
+        obs = WalkObservation(tau=np.array([1]), hit=np.array([0, 1]))
         with pytest.raises(WindowTooSmallError):
             first_passage_index(obs, 1)
 
