@@ -13,16 +13,11 @@ from .environment import (  # noqa: F401
     classify,
     mean_log_odds,
     odds_growth_rate,
-    odds_ratio,
     realize,
 )
 from .analytics import (  # noqa: F401
     MomentProfile,
     SummaryStatistics,
-    explicit_centering,
-    fluctuation_series,
-    hitting_centering,
-    implicit_centering,
     signed_range_sum,
     site_mean,
     site_variance,

@@ -3,9 +3,9 @@
 Per-site quantities: the expected crossing time of edge k -> k+1 and its
 variance, both given by geometric-type series in products of odds ratios.
 Cumulative quantities: the expected hitting time H(n) of site n (the natural
-centering for hitting-time fluctuations), the explicit and implicit position
-centerings built from H, and the centered fluctuation series used by the
-diagnostics.
+centering for hitting-time fluctuations) and the explicit and implicit
+position centerings built from H, all read from one ``MomentProfile``, and
+the signed range sums of its prefix array used by the diagnostics.
 
 Two independent computational routes are kept for the site moments: the
 series summed to a tolerance with a truncation bound, and the left-to-right
@@ -57,14 +57,9 @@ __all__ = [
     "SiteMoments",
     "SummaryStatistics",
     "CenteringValues",
-    "FluctuationSeries",
     "MomentProfile",
     "site_mean",
     "site_variance",
-    "hitting_centering",
-    "explicit_centering",
-    "implicit_centering",
-    "fluctuation_series",
     "signed_range_sum",
     "summary",
     "closed_form_variance",
@@ -88,17 +83,14 @@ class SiteMoments:
 
     ``mu`` is the quenched expected crossing time (always >= 1), ``sigma2``
     the quenched variance (>= 0, None when only the mean was requested).
-    ``*_recursion`` carry the independent one-step recursion values used for
-    cross-checking; ``mu_trunc_bound`` comes from the observed geometric
-    decay of the series terms.
+    ``mu_trunc_bound`` comes from the observed geometric decay of the series
+    terms.
     """
 
     odds: float
     mu: float
     mu_trunc_bound: float
-    mu_recursion: float
     sigma2: float | None = None
-    sigma2_recursion: float | None = None
 
 
 def _decay_ratio(ratios: deque) -> float:
@@ -152,11 +144,7 @@ def site_mean(window: EnvironmentWindow, k: int, *, tol: float = 1e-12) -> SiteM
         j += 1
     rho = _decay_ratio(ratios)
     bound = 2.0 * prod * rho / (1.0 - rho)
-    start = max(window.lo, k - j - 64)
-    m = 1.0
-    for i in range(start + 1, k + 1):
-        m = window.odds(i) * m + 1.0 / window.site(i)
-    return SiteMoments(odds=odds_k, mu=total, mu_trunc_bound=bound, mu_recursion=m)
+    return SiteMoments(odds=odds_k, mu=total, mu_trunc_bound=bound)
 
 
 def site_variance(window: EnvironmentWindow, k: int, *, tol: float = 1e-12) -> SiteMoments:
@@ -164,20 +152,15 @@ def site_variance(window: EnvironmentWindow, k: int, *, tol: float = 1e-12) -> S
 
     Sums sum_j (1/p_{k-j}) (mean_{k-j-1} + 1)^2 prod_{i=k-j..k} A_i, feeding
     it with crossing means produced by the recursion warmed up from deep in
-    the window.  The one-step variance recursion is returned alongside as an
-    independent check.
+    the window.
     """
     mean_part = site_mean(window, k, tol=tol)
     start = _burn_start(window, k)
-    # warm both recursions from the seed site up to k
+    # warm the mean recursion from the seed site up to k
     mu_arr = np.empty(k - start + 1)
     mu_arr[0] = 1.0
-    var_rec = 0.0
     for idx, i in enumerate(range(start + 1, k + 1), start=1):
-        a = window.odds(i)
-        inv_p = 1.0 / window.site(i)
-        var_rec = a * (var_rec + (mu_arr[idx - 1] + 1.0) ** 2 * inv_p)
-        mu_arr[idx] = a * mu_arr[idx - 1] + inv_p
+        mu_arr[idx] = window.odds(i) * mu_arr[idx - 1] + 1.0 / window.site(i)
     total = 0.0
     prod = 1.0
     ratios: deque = deque(maxlen=24)
@@ -197,9 +180,7 @@ def site_variance(window: EnvironmentWindow, k: int, *, tol: float = 1e-12) -> S
         odds=mean_part.odds,
         mu=mean_part.mu,
         mu_trunc_bound=mean_part.mu_trunc_bound,
-        mu_recursion=mean_part.mu_recursion,
         sigma2=total,
-        sigma2_recursion=var_rec,
     )
 
 
@@ -395,73 +376,23 @@ class CenteringValues:
     centering_above: float
 
 
-def hitting_centering(window: EnvironmentWindow, n: float) -> float:
-    """Expected hitting time of site floor(n) from 0 (compensated summation)."""
-    return MomentProfile(window).hitting_centering(n)
-
-
-def explicit_centering(window: EnvironmentWindow, summary_or_mu, t: float) -> float:
-    """Closed-form random centering for the position at time t."""
-    mu_global = getattr(summary_or_mu, "mu", summary_or_mu)
-    return MomentProfile(window).explicit_center(t, float(mu_global))
-
-
-def implicit_centering(window: EnvironmentWindow, t: float) -> CenteringValues:
-    """Integer centering bracketing t between consecutive expected hitting times."""
-    return MomentProfile(window).implicit_center(t)
-
-
-@dataclass(frozen=True)
-class FluctuationSeries:
-    """Centered partial sums of crossing means and their running max modulus."""
-
-    n_grid: tuple[int, ...]
-    centered_sum: np.ndarray      # sum_{j<n} (mu_j - mu) per grid point
-    max_abs_sum: np.ndarray       # max_{s<n} |sum_{j<=s} (mu_j - mu)| per grid point
-
-
-def fluctuation_series(
-    window: EnvironmentWindow,
-    summary_or_mu,
-    n_grid,
-) -> FluctuationSeries:
-    """Single left-to-right pass over the centered crossing means.
-
-    The running maximum uses the absolute partial sums, so it is
-    nondecreasing in n and dominates the plain centered sum.
-    """
-    n_grid = tuple(int(n) for n in n_grid)
-    if any(n < 1 for n in n_grid):
-        raise IndexRangeError("fluctuation grid entries must be >= 1")
-    mu_global = float(getattr(summary_or_mu, "mu", summary_or_mu))
-    n_max = max(n_grid)
-    centered = MomentProfile(window).mu_array(n_max) - mu_global
-    partial = np.cumsum(centered)
-    running = np.maximum.accumulate(np.abs(partial))
-    idx = np.array(n_grid) - 1
-    return FluctuationSeries(
-        n_grid=n_grid,
-        centered_sum=partial[idx],
-        max_abs_sum=running[idx],
-    )
-
-
-def signed_range_sum(values, a: float, b: float, *, start: int = 0) -> float:
-    """Sum of values over integer indices floor(a)..floor(b).
+def signed_range_sum(prefix: np.ndarray, a: float, b: float) -> float:
+    """Sum of values over integer indices floor(a)..floor(b), read from their
+    prefix sums: ``prefix[m]`` is the sum of the first m values.
 
     When floor(b) < floor(a) the range is inverted and the sum of the
     reversed range is negated, matching the signed summation convention used
-    throughout the diagnostics.
+    throughout the diagnostics.  A range outside the values raises
+    IndexRangeError.
     """
-    values = np.asarray(values, dtype=np.float64)
     fa = math.floor(a)
     fb = math.floor(b)
     lo, hi, sign = (fa, fb, 1.0) if fa <= fb else (fb, fa, -1.0)
-    if lo < start or hi - start >= len(values):
+    if lo < 0 or hi + 1 >= len(prefix):
         raise IndexRangeError(
-            f"range [{lo}, {hi}] outside available indices [{start}, {start + len(values) - 1}]"
+            f"range [{lo}, {hi}] outside available indices [0, {len(prefix) - 2}]"
         )
-    return sign * float(values[lo - start : hi - start + 1].sum())
+    return sign * float(prefix[hi + 1] - prefix[lo])
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,10 @@ EXIT_NUMERICAL = 4
 EXIT_GUARD = 5
 
 DEFAULT_SEED = 0xC0FFEE
-_EXPERIMENT_FIELDS = {
-    "kind", "n", "t", "replicas", "centering", "x_grid", "t_grid", "n_grid",
-    "diag_c", "ks_threshold", "lln_rel_tol", "env_replicates", "left_guard", "max_steps",
-    "workers", "tol",
+# settable in config.experiment: every ExperimentConfig field but the model
+# and the seeds, which have their own config sections
+_EXPERIMENT_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {
+    "model", "master_seed", "env_seed", "walk_seed",
 }
 
 
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--workers", type=int, default=None,
-                       help="accepted and recorded in the manifest; has no effect")
+                       help="accepted and ignored: every sampler runs in one process")
         p.add_argument(
             "--centering", choices=("explicit", "implicit"), default=None,
             help="position centering override",
@@ -127,8 +127,6 @@ def _load_config(path: str, args) -> ExperimentConfig:
             fields[grid] = tuple(fields[grid])
     if args.centering is not None:
         fields["centering"] = args.centering
-    if args.workers is not None:
-        fields["workers"] = args.workers
     try:
         return ExperimentConfig(
             model=model,
@@ -298,7 +296,7 @@ def _oracle_check_report(config: ExperimentConfig) -> dict:
     mu_gap = 0.0
     sg_gap = 0.0
     for k in interior:
-        site = analytics.site_variance(window, k, tol=config.tol)
+        site = analytics.site_variance(window, k)
         mu_gap = max(mu_gap, abs(site.mu - mu_inc[k - a]))
         sg_gap = max(sg_gap, abs(site.sigma2 - v_inc[k - a]))
     forcing = oracle.forcing_terms(window, e)

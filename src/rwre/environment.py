@@ -41,7 +41,6 @@ __all__ = [
     "Classification",
     "ConditionReport",
     "realize",
-    "odds_ratio",
     "mean_log_odds",
     "classify",
     "odds_growth_rate",
@@ -334,11 +333,6 @@ def realize(model: EnvironmentModel, lo: int, hi: int, seed: int) -> Environment
     else:
         raise ModelError(f"realize: unsupported model {model!r}")
     return EnvironmentWindow(lo=lo, hi=hi, p=p)
-
-
-def odds_ratio(window: EnvironmentWindow, k: int) -> float:
-    """Odds against a right jump at site k: (1 - p_k) / p_k."""
-    return window.odds(k)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@ Every experiment follows the quenched protocol: one environment window is
 realized from the environment seed and frozen; all randomness after that is
 the walkers'.  Seeds are split into (env_seed, walk_seed) children of the
 master seed, replicas fan out in fixed-width chunks, and every report is a
-pure function of its configuration: worker count and scheduling never change
-a reported number.
+pure function of its configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import analytics, walk
-from .analytics import MomentProfile, SummaryStatistics
+from .analytics import MomentProfile, SummaryStatistics, signed_range_sum
 from .environment import (
     EnvironmentModel,
     EnvironmentWindow,
@@ -73,14 +72,12 @@ def ks_distance(samples, reference_cdf=normal_cdf) -> float:
 class ExperimentConfig:
     """Declarative description of one experiment run.
 
-    Grids must be sorted, the replica count is at least 100, and the
-    diagnostic exponent is positive.  Seeds not given explicitly are derived
+    Grids must be sorted, ``n_grid`` entries are at least 1, the replica
+    count is at least 100, and the diagnostic exponent is positive.  Seeds not given explicitly are derived
     as children of the master seed.  ``max_steps`` caps hitting, LLN and
-    trajectory runs only: X(t) always takes exactly t steps.  ``workers``
-    is accepted and recorded in the manifest but has no effect: every
-    sampler runs in one process.  ``tol`` is the series tolerance of the
-    per-site moments in the oracle audit.  The law-level constants
-    (``analytics.summary``) are exact and take no setting.
+    trajectory runs only: X(t) always takes exactly t steps.  Every sampler
+    runs in one process, so no field sets a worker count.  The law-level
+    constants (``analytics.summary``) are exact and take no setting.
     """
 
     model: EnvironmentModel
@@ -101,8 +98,6 @@ class ExperimentConfig:
     env_replicates: int = 1
     left_guard: int | None = None
     max_steps: int | None = None
-    workers: int = 1
-    tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.replicas < 100:
@@ -116,6 +111,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, grid)
             if list(grid) != sorted(grid):
                 raise ConfigError(f"experiment.{name}: grid must be sorted")
+        if self.n_grid and self.n_grid[0] < 1:
+            raise ConfigError(f"experiment.n_grid: entries must be >= 1, got {self.n_grid[0]}")
         if not self.diag_c > 0:
             raise ConfigError(f"experiment.diag_c: must be positive, got {self.diag_c}")
         if self.kind not in (
@@ -464,22 +461,18 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
         centered = profile.mu_array(k_needed) - summ.mu
         prefix = np.concatenate([[0.0], np.cumsum(centered)])
 
-        def seg(a: float, b: float) -> float:
-            fa, fb = math.floor(a), math.floor(b)
-            lo, hi, sign = (fa, fb, 1.0) if fa <= fb else (fb, fa, -1.0)
-            return sign * float(prefix[hi + 1] - prefix[lo])
-
         exp_sums = np.empty((len(t_grid), len(x_grid)))
         exp_sums_shift = np.empty_like(exp_sums)
         imp_sums = np.empty_like(exp_sums)
         for i, t in enumerate(t_grid):
             b_exp = profile.explicit_center(t, summ.mu)
             b_imp = profile.implicit_center(t).implicit
+            z, root_t = t / summ.mu, math.sqrt(t)
             for j, x in enumerate(x_grid):
-                shift = math.sqrt(t) * summ.sigma_star * x
-                exp_sums[i, j] = seg(t / summ.mu, b_exp + shift) / math.sqrt(t)
-                exp_sums_shift[i, j] = seg(t / summ.mu, b_exp + shift - 1.0) / math.sqrt(t)
-                imp_sums[i, j] = seg(b_imp, b_imp + shift) / math.sqrt(t)
+                shift = root_t * summ.sigma_star * x
+                exp_sums[i, j] = signed_range_sum(prefix, z, b_exp + shift) / root_t
+                exp_sums_shift[i, j] = signed_range_sum(prefix, z, b_exp + shift - 1.0) / root_t
+                imp_sums[i, j] = signed_range_sum(prefix, b_imp, b_imp + shift) / root_t
         by_seed_explicit.append(exp_sums)
         by_seed_explicit_shift.append(exp_sums_shift)
         by_seed_implicit.append(imp_sums)
@@ -488,14 +481,14 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
         hs_sqrt = []
         hs_n = []
         h_scaled = []
+        running = np.maximum.accumulate(np.abs(prefix[1:]))  # H*(n) = running[n - 1]
         for n in n_grid:
             s_max = int(n ** ((1 + c) / 2.0))
             right = np.abs(prefix[n + 1 : n + s_max + 2] - prefix[n])
             left = np.abs(prefix[n + 1] - prefix[max(0, n - s_max) : n + 1])
             rng_stat.append(max(right.max(), left.max()) / math.sqrt(n))
-            running = np.abs(prefix[1 : n + 1]).max()
-            hs_sqrt.append(running / math.sqrt(n))
-            hs_n.append(running / n)
+            hs_sqrt.append(running[n - 1] / math.sqrt(n))
+            hs_n.append(running[n - 1] / n)
             h_scaled.append(abs(prefix[n]) / n ** ((1 + c) / 2.0))
         by_seed_range.append(rng_stat)
         by_seed_hstar_sqrt.append(hs_sqrt)
@@ -647,7 +640,7 @@ def coupling_identity_check(
         t_values = np.unique(np.concatenate([base, boundary]))
         for t in t_values:
             t = int(t)
-            n_t = int(np.searchsorted(hit, t, side="right")) - 1
+            n_t = walk.first_passage_index(obs, t)
             x_t = int(path[t])
             # approximation bound
             if not (abs(x_t - n_t) <= t - int(hit[n_t]) < int(obs.tau[n_t])):

@@ -138,6 +138,14 @@ def expected_hitting_times(window: EnvironmentWindow, a: int, n: int) -> FiniteC
     return solve_finite_chain(window, a, n, np.ones(n - a - 1))
 
 
+def _variance_forcing(window: EnvironmentWindow, e: FiniteChainSolution) -> np.ndarray:
+    """Interior forcing f_k = p_k (e(k+1) - e(k) + 1)^2 + q_k (e(k-1) - e(k) + 1)^2."""
+    p = window.p[e.a - window.lo : e.n - window.lo + 1]
+    q = 1.0 - p
+    h = e.h
+    return p[1:-1] * (h[2:] - h[1:-1] + 1.0) ** 2 + q[1:-1] * (h[:-2] - h[1:-1] + 1.0) ** 2
+
+
 def forcing_terms(window: EnvironmentWindow, e: FiniteChainSolution) -> dict:
     """The variance forcing f on interior sites, three ways.
 
@@ -146,11 +154,9 @@ def forcing_terms(window: EnvironmentWindow, e: FiniteChainSolution) -> dict:
     ``mean_form_swapped`` is the transcription with the arguments exchanged.
     The maximum interior gaps against ``derived`` expose the swap.
     """
-    a, n = e.a, e.n
-    p = window.p[a - window.lo : n - window.lo + 1]
+    derived = _variance_forcing(window, e)
+    p = window.p[e.a - window.lo : e.n - window.lo + 1]
     q = 1.0 - p
-    h = e.h
-    derived = p[1:-1] * (h[2:] - h[1:-1] + 1.0) ** 2 + q[1:-1] * (h[:-2] - h[1:-1] + 1.0) ** 2
     mu = e.increments()  # mu[k-a] approximates the crossing mean at site k
     mean_form = p[1:-1] * (1.0 - mu[1:]) ** 2 + q[1:-1] * (mu[:-1] + 1.0) ** 2
     swapped = p[1:-1] * (mu[1:] + 1.0) ** 2 + q[1:-1] * (1.0 - mu[:-1]) ** 2
@@ -166,8 +172,7 @@ def forcing_terms(window: EnvironmentWindow, e: FiniteChainSolution) -> dict:
 def hitting_time_variances(window: EnvironmentWindow, a: int, n: int) -> FiniteChainSolution:
     """v(x) = variance of the time to hit n from x, forcing built from e."""
     e = expected_hitting_times(window, a, n)
-    f = forcing_terms(window, e)["derived"]
-    return solve_finite_chain(window, a, n, f)
+    return solve_finite_chain(window, a, n, _variance_forcing(window, e))
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,6 @@ from rwre.analytics import (
     _burn_start,
     closed_form_variance,
     closed_form_variance_printed,
-    explicit_centering,
-    fluctuation_series,
-    hitting_centering,
-    implicit_centering,
     reference_crossing_mean,
     signed_range_sum,
     site_mean,
@@ -75,9 +71,10 @@ class TestSiteMean:
 
     def test_series_recursion_agreement(self, two_point):
         w = realize(two_point, -120, 1000, seed=42)
+        mu = MomentProfile(w).mu_array(1000)
         for k in range(0, 1000, 7):
             sm = site_mean(w, k)
-            assert abs(sm.mu - sm.mu_recursion) <= 10.0 * sm.mu_trunc_bound
+            assert abs(sm.mu - mu[k]) <= 10.0 * sm.mu_trunc_bound
 
     def test_mu_lower_bound(self, two_point):
         w = realize(two_point, -120, 300, seed=3)
@@ -103,9 +100,10 @@ class TestSiteVariance:
         # the identity var_k = A_k (var_{k-1} + (mean_{k-1}+1)^2 / p_k) is
         # algebra on the series; both routes must agree numerically
         w = realize(two_point, -140, 400, seed=9)
+        sg = MomentProfile(w).sigma2_array(400)
         for k in range(0, 400, 13):
             sv = site_variance(w, k)
-            assert sv.sigma2 == pytest.approx(sv.sigma2_recursion, rel=1e-9, abs=1e-9)
+            assert sv.sigma2 == pytest.approx(sg[k], rel=1e-9, abs=1e-9)
             assert sv.sigma2 >= 0.0
 
 
@@ -238,10 +236,10 @@ class TestBlockScan:
 
 class TestHittingCentering:
     def test_constant_examples(self):
-        w = constant_window(0.75)
-        assert hitting_centering(w, 5) == pytest.approx(10.0, abs=1e-10)
-        assert hitting_centering(w, 0) == 0.0
-        assert hitting_centering(w, 5.9) == pytest.approx(10.0, abs=1e-10)
+        profile = MomentProfile(constant_window(0.75))
+        assert profile.hitting_centering(5) == pytest.approx(10.0, abs=1e-10)
+        assert profile.hitting_centering(0) == 0.0
+        assert profile.hitting_centering(5.9) == pytest.approx(10.0, abs=1e-10)
 
     def test_strictly_increasing(self, two_point):
         w = realize(two_point, -140, 300, seed=2)
@@ -252,21 +250,21 @@ class TestHittingCentering:
 
 class TestCenterings:
     def test_explicit_constant_examples(self):
-        w = constant_window(0.75)
-        s = summary(Constant(0.75))
-        assert explicit_centering(w, s, 100) == pytest.approx(50.0, abs=1e-9)
-        assert explicit_centering(w, s, 101) == pytest.approx(51.0, abs=1e-9)
-        assert explicit_centering(w, s, 0) == 0.0
-        assert explicit_centering(w, 2.0, 100) == pytest.approx(50.0, abs=1e-9)
+        profile = MomentProfile(constant_window(0.75))
+        mu = summary(Constant(0.75)).mu
+        assert profile.explicit_center(100, mu) == pytest.approx(50.0, abs=1e-9)
+        assert profile.explicit_center(101, mu) == pytest.approx(51.0, abs=1e-9)
+        assert profile.explicit_center(0, mu) == 0.0
+        assert profile.explicit_center(100, 2.0) == pytest.approx(50.0, abs=1e-9)
 
     def test_implicit_constant_examples(self):
-        w = constant_window(0.75)
-        cv = implicit_centering(w, 100)
+        profile = MomentProfile(constant_window(0.75))
+        cv = profile.implicit_center(100)
         assert cv.implicit == 50
         assert cv.centering_below == pytest.approx(100.0, abs=1e-9)
         assert cv.centering_above == pytest.approx(102.0, abs=1e-9)
-        assert implicit_centering(w, 99).implicit == 49
-        assert implicit_centering(w, 0).implicit == 0
+        assert profile.implicit_center(99).implicit == 49
+        assert profile.implicit_center(0).implicit == 0
 
     def test_implicit_bracket_property(self, two_point):
         w = realize(two_point, -140, 3000, seed=5)
@@ -277,9 +275,9 @@ class TestCenterings:
             assert cv.centering_below <= t < cv.centering_above
 
     def test_tie_resolves_to_larger_index(self):
-        w = constant_window(0.75)
+        profile = MomentProfile(constant_window(0.75))
         # t = H(51) = 102 exactly: strict right inequality picks 51
-        assert implicit_centering(w, 102).implicit == 51
+        assert profile.implicit_center(102).implicit == 51
 
     def test_floor_relation_constant(self):
         w = constant_window(0.75)
@@ -290,53 +288,23 @@ class TestCenterings:
             assert math.floor(b) in (bt, bt + 1)
 
 
-class TestFluctuationSeries:
-    def test_constant_is_zero(self):
-        w = constant_window(0.75)
-        s = summary(Constant(0.75))
-        fs = fluctuation_series(w, s, (1, 10, 100))
-        assert np.allclose(fs.centered_sum, 0.0, atol=1e-8)
-        assert np.allclose(fs.max_abs_sum, 0.0, atol=1e-8)
-
-    def test_single_term(self, two_point):
-        w = realize(two_point, -140, 50, seed=8)
-        s = summary(two_point)
-        fs = fluctuation_series(w, s, (1,))
-        mu0 = site_mean(w, 0).mu
-        assert fs.max_abs_sum[0] == pytest.approx(abs(mu0 - s.mu), rel=1e-9)
-
-    def test_monotone_and_dominating(self, two_point):
-        w = realize(two_point, -140, 2000, seed=8)
-        s = summary(two_point)
-        grid = (1, 10, 100, 1000)
-        fs = fluctuation_series(w, s, grid)
-        assert all(b >= a for a, b in zip(fs.max_abs_sum, fs.max_abs_sum[1:]))
-        assert np.all(np.abs(fs.centered_sum) <= fs.max_abs_sum + 1e-12)
-
-    def test_sublinear_growth(self, two_point):
-        # scaled fluctuation shrinks with window size (root-n scaling)
-        s = summary(two_point)
-        ratios = {100: [], 10_000: []}
-        for seed in range(12):
-            w = realize(two_point, -140, 10_100, seed=seed)
-            fs = fluctuation_series(w, s, (100, 10_000))
-            ratios[100].append(fs.max_abs_sum[0] / 100.0)
-            ratios[10_000].append(fs.max_abs_sum[1] / 10_000.0)
-        assert np.median(ratios[10_000]) < np.median(ratios[100])
+def prefix_of(values):
+    """prefix[m] = sum of the first m values."""
+    return np.concatenate([[0.0], np.cumsum(values)])
 
 
 class TestSignedRangeSum:
     def test_examples(self):
-        d = [1.0, 2.0, 3.0]
+        d = prefix_of([1.0, 2.0, 3.0])
         assert signed_range_sum(d, 0, 2) == 6.0
         assert signed_range_sum(d, 2, 0) == -6.0
         assert signed_range_sum(d, 1.9, 1.1) == 2.0
 
     def test_out_of_range(self):
-        with pytest.raises(IndexRangeError):
-            signed_range_sum([1.0, 2.0], 0, 5)
-        with pytest.raises(IndexRangeError):
-            signed_range_sum([1.0, 2.0], -1, 1)
+        d = prefix_of([1.0, 2.0])
+        for a, b in ((0, 5), (-1, 1), (0, 2), (1.5, -4.3)):
+            with pytest.raises(IndexRangeError):
+                signed_range_sum(d, a, b)
 
     @given(
         values=st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=30),
@@ -347,14 +315,16 @@ class TestSignedRangeSum:
     def test_inversion_antisymmetry(self, values, a, b):
         if math.floor(a) >= len(values) or math.floor(b) >= len(values):
             return
-        assert signed_range_sum(values, a, b) == pytest.approx(
-            -signed_range_sum(values, b, a) if math.floor(a) != math.floor(b)
-            else signed_range_sum(values, b, a)
+        prefix = prefix_of(values)
+        assert signed_range_sum(prefix, a, b) == pytest.approx(
+            -signed_range_sum(prefix, b, a) if math.floor(a) != math.floor(b)
+            else signed_range_sum(prefix, b, a)
         )
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=40)
+        prefix = prefix_of(values)
         for _ in range(200):
             a, b = rng.uniform(0, 39.99, size=2)
             fa, fb = math.floor(a), math.floor(b)
@@ -362,7 +332,7 @@ class TestSignedRangeSum:
                 expected = float(values[fa : fb + 1].sum())
             else:
                 expected = -float(values[fb : fa + 1].sum())
-            assert signed_range_sum(values, a, b) == pytest.approx(expected, abs=1e-12)
+            assert signed_range_sum(prefix, a, b) == pytest.approx(expected, abs=1e-12)
 
 
 class TestSummary:

@@ -92,7 +92,7 @@ class TestErrors:
         assert "model.p" in capsys.readouterr().err
 
     def test_unknown_experiment_field(self, tmp_path, capsys):
-        for field in ("n_steps", "summary_budget"):
+        for field in ("n_steps", "summary_budget", "workers", "tol"):
             cfg = write_config(
                 tmp_path / "bad.json", {"type": "constant", "p": 0.75}, {field: 5}
             )
@@ -127,14 +127,14 @@ class TestErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_numerical_error_exit_code(self, tmp_path):
-        # a tolerance far below machine precision exhausts the window before
-        # the site series can converge
+        # at t = 10 the explicit window for x = -3 reaches left of site 0,
+        # outside the centered prefix sums
         cfg = write_config(
             tmp_path / "t.json",
             {"type": "iid_discrete", "atoms": [[0.8, 0.5], [0.6, 0.5]]},
-            {"replicas": 200, "tol": 1e-300},
+            {"t_grid": [10, 1000], "n_grid": [100], "x_grid": [-3.0, 0.0, 3.0]},
         )
-        assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert main(["diagnostics", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
     def test_analyze_reports_overflowing_moments(self, tmp_path):
         cfg = write_config(tmp_path / "tiny.json", {"type": "constant", "p": 1e-120})

@@ -19,7 +19,6 @@ from rwre.environment import (
     model_from_dict,
     model_to_dict,
     odds_growth_rate,
-    odds_ratio,
     realize,
 )
 from rwre.errors import ModelError
@@ -143,16 +142,16 @@ class TestRealize:
 class TestOddsRatio:
     def test_examples(self):
         w = realize(Constant(0.75), 0, 0, seed=0)
-        assert odds_ratio(w, 0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert w.odds(0) == pytest.approx(1.0 / 3.0, rel=1e-15)
         w = realize(Constant(0.5), 0, 0, seed=0)
-        assert odds_ratio(w, 0) == pytest.approx(1.0)
+        assert w.odds(0) == pytest.approx(1.0)
         w = realize(Constant(0.8), 0, 0, seed=0)
-        assert odds_ratio(w, 0) == pytest.approx(0.25, rel=1e-15)
+        assert w.odds(0) == pytest.approx(0.25, rel=1e-15)
 
     def test_out_of_window(self):
         w = realize(Constant(0.75), 0, 5, seed=0)
         with pytest.raises(ModelError):
-            odds_ratio(w, 6)
+            w.odds(6)
 
 
 class TestMeanLogOdds:

@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from rwre.analytics import reference_crossing_mean
-from rwre.environment import Constant
-from rwre.errors import ConfigError, ModelError, NotCltEligibleError, StepBudgetExceededError
+from rwre.analytics import reference_crossing_mean, site_mean, summary
+from rwre.environment import Constant, realize
+from rwre.errors import (
+    ConfigError,
+    IndexRangeError,
+    ModelError,
+    NotCltEligibleError,
+    StepBudgetExceededError,
+)
 from rwre.harness import (
     ExperimentConfig,
     clt_hitting,
@@ -67,6 +73,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(model=two_point, x_grid=(2.0, -1.0))
         with pytest.raises(ConfigError):
+            ExperimentConfig(model=two_point, n_grid=(0, 100))
+        with pytest.raises(ConfigError):
             ExperimentConfig(model=two_point, diag_c=-0.1)
         with pytest.raises(ConfigError):
             ExperimentConfig(model=two_point, kind="annealed")
@@ -106,11 +114,6 @@ class TestCltHitting:
         b = clt_hitting(cfg)
         assert np.array_equal(a.raw_samples, b.raw_samples)
         assert a.ks_distance == b.ks_distance
-
-    def test_worker_count_invariance(self, two_point):
-        base = ExperimentConfig(model=two_point, n=300, replicas=2100, master_seed=1)
-        par = ExperimentConfig(model=two_point, n=300, replicas=2100, master_seed=1, workers=3)
-        assert np.array_equal(clt_hitting(base).raw_samples, clt_hitting(par).raw_samples)
 
     def test_multi_environment_mode(self, two_point):
         cfg = ExperimentConfig(model=two_point, n=300, replicas=400, env_replicates=3)
@@ -219,9 +222,34 @@ class TestDiagnostics:
             rep.explicit_window_sums[-1, j], abs=0.2
         )
 
-    def test_quasi_periodic_bound_by_ergodicity(self, golden_qp):
-        from rwre.analytics import summary
+    def test_running_max_of_partial_sums(self, two_point):
+        # H*(n) = max_{s<n} |sum_{j<=s} (mu_j - mu)| is nondecreasing in n,
+        # dominates |H(n)|, and at n = 1 is the first centered mean
+        c = 0.2
+        cfg = ExperimentConfig(
+            model=two_point, kind="diagnostics", replicas=100, diag_c=c,
+            t_grid=(100,), n_grid=(1, 10, 100, 1000), x_grid=(0.0,),
+        )
+        rep = fluctuation_diagnostics(cfg)
+        n = np.array(rep.n_grid, dtype=float)
+        h_star = rep.max_abs_over_n * n
+        h_abs = rep.centered_sum_scaled * n ** ((1 + c) / 2)
+        assert np.all(np.diff(h_star) >= -1e-12 * h_star[1:])
+        assert np.all(h_abs <= h_star * (1 + 1e-12) + 1e-12)
+        mu0 = site_mean(realize(two_point, -140, 50, cfg.resolved_env_seed()), 0).mu
+        assert rep.max_abs_over_sqrt[0] == pytest.approx(abs(mu0 - summary(two_point).mu), rel=1e-9)
 
+    def test_range_left_of_site_zero_raises(self, two_point):
+        # at t = 10 the explicit upper end for x = -3 lies left of site 0; the
+        # range sum must raise rather than wrap around the prefix array
+        cfg = ExperimentConfig(
+            model=two_point, kind="diagnostics",
+            t_grid=(10, 1000), n_grid=(100,), x_grid=(-3.0, 0.0, 3.0),
+        )
+        with pytest.raises(IndexRangeError):
+            fluctuation_diagnostics(cfg)
+
+    def test_quasi_periodic_bound_by_ergodicity(self, golden_qp):
         s = summary(golden_qp)
         t = 10_000
         x = 1.0
