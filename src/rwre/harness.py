@@ -72,8 +72,9 @@ def ks_distance(samples, reference_cdf=normal_cdf) -> float:
 class ExperimentConfig:
     """Declarative description of one experiment run.
 
-    Grids must be sorted, ``n_grid`` entries are at least 1, the replica
-    count is at least 100, and the diagnostic exponent is positive.  Seeds not given explicitly are derived
+    Grids must be sorted, ``t_grid`` and ``n_grid`` entries are at least 1,
+    the replica count is at least 100, and the diagnostic exponent is
+    positive.  Seeds not given explicitly are derived
     as children of the master seed.  ``max_steps`` caps hitting, LLN and
     trajectory runs only: X(t) always takes exactly t steps.  Every sampler
     runs in one process, so no field sets a worker count.  The law-level
@@ -111,8 +112,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, grid)
             if list(grid) != sorted(grid):
                 raise ConfigError(f"experiment.{name}: grid must be sorted")
-        if self.n_grid and self.n_grid[0] < 1:
-            raise ConfigError(f"experiment.n_grid: entries must be >= 1, got {self.n_grid[0]}")
+            if name != "x_grid" and grid and grid[0] < 1:
+                raise ConfigError(f"experiment.{name}: entries must be >= 1, got {grid[0]}")
         if not self.diag_c > 0:
             raise ConfigError(f"experiment.diag_c: must be positive, got {self.diag_c}")
         if self.kind not in (

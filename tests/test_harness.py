@@ -75,6 +75,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(model=two_point, n_grid=(0, 100))
         with pytest.raises(ConfigError):
+            ExperimentConfig(model=two_point, t_grid=(0, 1000))
+        with pytest.raises(ConfigError):
             ExperimentConfig(model=two_point, diag_c=-0.1)
         with pytest.raises(ConfigError):
             ExperimentConfig(model=two_point, kind="annealed")
