@@ -32,6 +32,7 @@ from rwre.errors import (
     NotCltEligibleError,
     WindowTooSmallError,
 )
+from rwre.harness import ExperimentConfig, fluctuation_diagnostics
 
 
 def constant_window(p=0.75, lo=-200, hi=600, seed=0):
@@ -286,6 +287,34 @@ class TestCenterings:
             b = profile.explicit_center(t, 2.0)
             bt = profile.implicit_center(t).implicit
             assert math.floor(b) in (bt, bt + 1)
+
+
+class TestFluctuationSeries:
+    # the diagnostics' running max H*(n) = max_{s<n} |sum_{j<=s} (mu_j - mu)|,
+    # read back from max_abs_over_n * n on one environment window
+
+    def test_single_term(self, two_point):
+        cfg = ExperimentConfig(
+            model=two_point, kind="diagnostics", replicas=100,
+            t_grid=(100,), n_grid=(1,), x_grid=(0.0,),
+        )
+        rep = fluctuation_diagnostics(cfg)
+        w = realize(two_point, -140, 50, cfg.resolved_env_seed())
+        mu0 = site_mean(w, 0).mu
+        assert rep.max_abs_over_n[0] == pytest.approx(abs(mu0 - summary(two_point).mu), rel=1e-9)
+
+    def test_monotone_and_dominating(self, two_point):
+        c = 0.2
+        cfg = ExperimentConfig(
+            model=two_point, kind="diagnostics", replicas=100, diag_c=c,
+            t_grid=(100,), n_grid=tuple(range(1, 1001)), x_grid=(0.0,),
+        )
+        rep = fluctuation_diagnostics(cfg)
+        n = np.array(rep.n_grid, dtype=float)
+        h_star = rep.max_abs_over_n * n
+        h_abs = rep.centered_sum_scaled * n ** ((1 + c) / 2)
+        assert np.all(np.diff(h_star) >= -1e-12 * h_star[1:])
+        assert np.all(h_abs <= h_star * (1 + 1e-12) + 1e-12)
 
 
 def prefix_of(values):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from rwre.analytics import reference_crossing_mean, site_mean, summary
-from rwre.environment import Constant, realize
+from rwre.analytics import reference_crossing_mean, summary
+from rwre.environment import Constant
 from rwre.errors import (
     ConfigError,
     IndexRangeError,
@@ -223,23 +223,6 @@ class TestDiagnostics:
         assert rep.explicit_window_sums_shifted[-1, j] == pytest.approx(
             rep.explicit_window_sums[-1, j], abs=0.2
         )
-
-    def test_running_max_of_partial_sums(self, two_point):
-        # H*(n) = max_{s<n} |sum_{j<=s} (mu_j - mu)| is nondecreasing in n,
-        # dominates |H(n)|, and at n = 1 is the first centered mean
-        c = 0.2
-        cfg = ExperimentConfig(
-            model=two_point, kind="diagnostics", replicas=100, diag_c=c,
-            t_grid=(100,), n_grid=(1, 10, 100, 1000), x_grid=(0.0,),
-        )
-        rep = fluctuation_diagnostics(cfg)
-        n = np.array(rep.n_grid, dtype=float)
-        h_star = rep.max_abs_over_n * n
-        h_abs = rep.centered_sum_scaled * n ** ((1 + c) / 2)
-        assert np.all(np.diff(h_star) >= -1e-12 * h_star[1:])
-        assert np.all(h_abs <= h_star * (1 + 1e-12) + 1e-12)
-        mu0 = site_mean(realize(two_point, -140, 50, cfg.resolved_env_seed()), 0).mu
-        assert rep.max_abs_over_sqrt[0] == pytest.approx(abs(mu0 - summary(two_point).mu), rel=1e-9)
 
     def test_range_left_of_site_zero_raises(self, two_point):
         # at t = 10 the explicit upper end for x = -3 lies left of site 0; the
