@@ -20,11 +20,13 @@ cross-check them site by site.  Law-level constants (``summary``) realize no
 window: closed forms for i.i.d. laws, and for quasi-periodic laws the same
 recursions run over a grid of circle phases and averaged.
 
-The profile runs the recursions as a block scan: each block's affine
-transfer carries start values across block boundaries, and every block then
-re-runs the one-step recursions from its start, all blocks at once in numpy.
-Each site gets the loop's floating-point operations (the square is x*x), so
-only a carried block start can differ from the loop's, in the last bits.
+The profile is built once per window, over sites 0..hi, so each of its
+values is a pure function of the window and not of the order of calls.  It
+runs the recursions as a block scan: each block's affine transfer carries
+start values across block boundaries, and every block then re-runs the
+one-step recursions from its start, all blocks at once in numpy.  Each site
+gets the loop's floating-point operations (the square is x*x), so only a
+carried block start can differ from the loop's, in the last bits.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .errors import (
 __all__ = [
     "SiteMoments",
     "SummaryStatistics",
-    "CenteringValues",
     "MomentProfile",
     "site_mean",
     "site_variance",
@@ -66,6 +67,8 @@ __all__ = [
     "closed_form_variance_printed",
 ]
 
+# relative tolerance at which the site series stop
+_SERIES_TOL = 1e-12
 # seed attenuation target for the left-to-right recursions: e^-46 ~ 1e-20
 _BURN_LOG = 46.0
 _MIN_BURN = 32
@@ -116,13 +119,13 @@ def _tail_failure(window: EnvironmentWindow, k: int, ratios: deque) -> Exception
     )
 
 
-def site_mean(window: EnvironmentWindow, k: int, *, tol: float = 1e-12) -> SiteMoments:
+def site_mean(window: EnvironmentWindow, k: int) -> SiteMoments:
     """Expected crossing time of edge k -> k+1 for the quenched environment.
 
     Sums 1 + 2*sum_j prod_{i=k-j..k} A_i until the running product drops
-    below tol times the partial sum.  When the window ends first, raises
-    NonSummableError if the products do not decay (non-negative drift) and
-    WindowTooSmallError if they are still decaying.
+    below _SERIES_TOL times the partial sum.  When the window ends first,
+    raises NonSummableError if the products do not decay (non-negative
+    drift) and WindowTooSmallError if they are still decaying.
     """
     if k not in window:
         raise WindowTooSmallError(f"site {k} outside window [{window.lo}, {window.hi}]")
@@ -139,7 +142,7 @@ def site_mean(window: EnvironmentWindow, k: int, *, tol: float = 1e-12) -> SiteM
         prod *= a
         ratios.append(a)
         total += 2.0 * prod
-        if prod < tol * total:
+        if prod < _SERIES_TOL * total:
             break
         j += 1
     rho = _decay_ratio(ratios)
@@ -147,14 +150,14 @@ def site_mean(window: EnvironmentWindow, k: int, *, tol: float = 1e-12) -> SiteM
     return SiteMoments(odds=odds_k, mu=total, mu_trunc_bound=bound)
 
 
-def site_variance(window: EnvironmentWindow, k: int, *, tol: float = 1e-12) -> SiteMoments:
+def site_variance(window: EnvironmentWindow, k: int) -> SiteMoments:
     """Quenched variance of the crossing time of edge k -> k+1.
 
     Sums sum_j (1/p_{k-j}) (mean_{k-j-1} + 1)^2 prod_{i=k-j..k} A_i, feeding
     it with crossing means produced by the recursion warmed up from deep in
     the window.
     """
-    mean_part = site_mean(window, k, tol=tol)
+    mean_part = site_mean(window, k)
     start = _burn_start(window, k)
     # warm the mean recursion from the seed site up to k
     mu_arr = np.empty(k - start + 1)
@@ -173,7 +176,7 @@ def site_variance(window: EnvironmentWindow, k: int, *, tol: float = 1e-12) -> S
         ratios.append(window.odds(i))
         term = prod * (mu_arr[i - 1 - start] + 1.0) ** 2 / window.site(i)
         total += term
-        if prod < tol * max(total, 1.0) and term < tol * max(total, 1.0):
+        if prod < _SERIES_TOL * max(total, 1.0) and term < _SERIES_TOL * max(total, 1.0):
             break
         j += 1
     return SiteMoments(
@@ -278,57 +281,50 @@ def _moment_scan(p, state, mu_out, var_out, h_out):
 
 
 class MomentProfile:
-    """Lazily grown per-site moments and compensated prefix sums on k >= 0.
+    """Per-site moments and compensated prefix sums on sites 0..window.hi.
 
-    Crossing means and variances are produced by the one-step recursions,
-    warmed up left of site 0 so the seeding is attenuated below ~1e-20; the
-    warm-up and the growth both run the block scan.  The prefix of means (the
-    expected hitting time H) is accumulated with Neumaier compensation, so
-    centerings stay accurate far beyond what plain float summation
-    guarantees.  Instances are not thread-safe while growing; share them
-    read-only or confine them to one worker.
+    Built once per window: crossing means and variances come from the
+    one-step recursions, warmed up left of site 0 so the seeding is
+    attenuated below ~1e-20, and one block scan over sites 0..hi fills them.
+    The prefix of means (the expected hitting time H) is accumulated with
+    Neumaier compensation, so centerings stay accurate far beyond what plain
+    float summation guarantees.  Every value is a pure function of the
+    window; the arrays are read-only, and the methods only read them.
     """
-
-    _BLOCK = 1024
 
     def __init__(self, window: EnvironmentWindow):
         self.window = window
         start = _burn_start(window, 0)
         warm = window.p[start + 1 - window.lo : -window.lo]  # sites start+1..-1
         mu, var, _, _ = _moment_scan(warm, (1.0, 0.0, 0.0, 0.0), *np.empty((3, len(warm))))
-        self._state = (mu, var, 0.0, 0.0)  # at site -1 (or the seed when start = -1)
-        self._mu = np.empty(0)
-        self._sigma2 = np.empty(0)
-        self._prefix = np.zeros(1)  # prefix[m] = H(m)
+        n = window.hi + 1
+        self._mu, self._sigma2 = np.empty(n), np.empty(n)
+        self._prefix = np.zeros(n + 1)  # prefix[m] = H(m)
+        # (mu, var) is the state at site -1, or at the seed when start = -1
+        _moment_scan(window.p[-window.lo :], (mu, var, 0.0, 0.0),
+                     self._mu, self._sigma2, self._prefix[1:])
+        for arr in (self._mu, self._sigma2, self._prefix):
+            arr.flags.writeable = False
 
     @property
     def size(self) -> int:
         return len(self._mu)
 
-    def _grow(self, upto: int) -> None:
-        """Extend the arrays so sites [0, upto) are available."""
-        have = len(self._mu)
-        if upto <= have:
-            return
-        if upto - 1 > self.window.hi:
+    def _check(self, n: int) -> None:
+        """Raise unless sites [0, n) are in the window."""
+        if n < 0:
+            raise IndexRangeError(f"profile needs n >= 0, got {n}")
+        if n > self.size:
             raise WindowTooSmallError(
-                f"profile needs sites up to {upto - 1} but window ends at {self.window.hi}"
+                f"profile needs sites up to {n - 1} but window ends at {self.window.hi}"
             )
-        self._mu = np.concatenate([self._mu, np.empty(upto - have)])
-        self._sigma2 = np.concatenate([self._sigma2, np.empty(upto - have)])
-        self._prefix = np.concatenate([self._prefix, np.empty(upto - have)])
-        lo = self.window.lo
-        self._state = _moment_scan(
-            self.window.p[have - lo : upto - lo], self._state,
-            self._mu[have:], self._sigma2[have:], self._prefix[have + 1 :],
-        )
 
     def mu_array(self, n: int) -> np.ndarray:
-        self._grow(n)
+        self._check(n)
         return self._mu[:n]
 
     def sigma2_array(self, n: int) -> np.ndarray:
-        self._grow(n)
+        self._check(n)
         return self._sigma2[:n]
 
     def hitting_centering(self, n: float) -> float:
@@ -336,27 +332,19 @@ class MomentProfile:
         m = math.floor(n)
         if m < 0:
             raise IndexRangeError(f"hitting centering needs n >= 0, got {n}")
-        self._grow(m)
+        self._check(m)
         return float(self._prefix[m])
 
-    def implicit_center(self, t: float) -> "CenteringValues":
+    def implicit_center(self, t: float) -> int:
         """The unique integer b with H(b) <= t < H(b+1)."""
         if t < 0:
             raise IndexRangeError(f"implicit centering needs t >= 0, got {t}")
-        while self._prefix[-1] <= t:
-            cap = self.window.hi + 1
-            if len(self._mu) >= cap:
-                raise WindowTooSmallError(
-                    f"window ends at {self.window.hi} before the cumulative "
-                    f"centering reaches t={t}"
-                )
-            self._grow(min(len(self._mu) + self._BLOCK, cap))
-        b = int(np.searchsorted(self._prefix, t, side="right")) - 1
-        return CenteringValues(
-            implicit=b,
-            centering_below=float(self._prefix[b]),
-            centering_above=float(self._prefix[b + 1]),
-        )
+        if self._prefix[-1] <= t:
+            raise WindowTooSmallError(
+                f"window ends at {self.window.hi} before the cumulative "
+                f"centering reaches t={t}"
+            )
+        return int(np.searchsorted(self._prefix, t, side="right")) - 1
 
     def explicit_center(self, t: float, mu_global: float) -> float:
         """2t/mu - H(t/mu)/mu, with the floor convention inside H."""
@@ -364,16 +352,6 @@ class MomentProfile:
             raise IndexRangeError(f"explicit centering needs t >= 0, got {t}")
         z = t / mu_global
         return 2.0 * z - self.hitting_centering(z) / mu_global
-
-
-@dataclass(frozen=True)
-class CenteringValues:
-    """The implicit position centering at one time t: the integer b with
-    ``centering_below`` = H(b) <= t < H(b+1) = ``centering_above``."""
-
-    implicit: int
-    centering_below: float
-    centering_above: float
 
 
 def signed_range_sum(prefix: np.ndarray, a: float, b: float) -> float:

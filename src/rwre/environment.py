@@ -477,12 +477,7 @@ def _regime(log_odds_mean: float) -> Regime:
     return Regime.TRANSIENT_RIGHT if log_odds_mean < 0 else Regime.TRANSIENT_LEFT
 
 
-def odds_growth_rate(
-    model: EnvironmentModel,
-    kappa: float,
-    *,
-    gamma: float | None = None,
-) -> Estimate:
+def odds_growth_rate(model: EnvironmentModel, kappa: float) -> Estimate:
     """Growth rate of the expected kappa-th power of odds-ratio products.
 
     For i.i.d. laws this is the kappa-th moment of a single odds ratio; for
@@ -491,8 +486,6 @@ def odds_growth_rate(
     """
     if kappa < 0:
         raise ModelError(f"kappa: must be non-negative, got {kappa}")
-    if gamma is not None and kappa > gamma:
-        raise ModelError(f"kappa: must not exceed gamma={gamma}, got {kappa}")
     if kappa == 0:
         return Estimate(1.0, "closed-form")
     if isinstance(model, (Constant, IidDiscrete)):

@@ -278,7 +278,7 @@ def clt_position(config: ExperimentConfig) -> ExperimentReport:
         if config.centering == "explicit":
             centering = profile.explicit_center(t, summ.mu)
         else:
-            centering = float(profile.implicit_center(t).implicit)
+            centering = float(profile.implicit_center(t))
         k_used = max(64, int(t / summ.mu))
         window_mu = profile.hitting_centering(k_used) / k_used
         window_sigma2 = float(profile.sigma2_array(k_used).mean())
@@ -467,7 +467,7 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
         imp_sums = np.empty_like(exp_sums)
         for i, t in enumerate(t_grid):
             b_exp = profile.explicit_center(t, summ.mu)
-            b_imp = profile.implicit_center(t).implicit
+            b_imp = profile.implicit_center(t)
             z, root_t = t / summ.mu, math.sqrt(t)
             for j, x in enumerate(x_grid):
                 shift = root_t * summ.sigma_star * x

@@ -68,7 +68,7 @@ class TestSiteMean:
     def test_window_too_small(self, two_point):
         w = realize(two_point, -4, 10, seed=1)
         with pytest.raises(WindowTooSmallError):
-            site_mean(w, 8, tol=1e-12)
+            site_mean(w, 8)
 
     def test_series_recursion_agreement(self, two_point):
         w = realize(two_point, -120, 1000, seed=42)
@@ -123,6 +123,33 @@ class TestProfile:
         profile = MomentProfile(w)
         with pytest.raises(WindowTooSmallError):
             profile.mu_array(200)
+        assert profile.size == 51
+        for read in (profile.mu_array, profile.sigma2_array, profile.hitting_centering):
+            read(51)
+            with pytest.raises(WindowTooSmallError):
+                read(52)
+        end = profile.hitting_centering(51)
+        assert profile.implicit_center(np.nextafter(end, 0.0)) == 50
+        for t in (end, end + 1.0):
+            with pytest.raises(WindowTooSmallError):
+                profile.implicit_center(t)
+
+    def test_negative_arguments_raise(self, two_point):
+        profile = MomentProfile(realize(two_point, -140, 50, seed=7))
+        for read in (lambda: profile.mu_array(-1),
+                     lambda: profile.sigma2_array(-1),
+                     lambda: profile.hitting_centering(-1),
+                     lambda: profile.hitting_centering(-0.5),
+                     lambda: profile.implicit_center(-1e-9),
+                     lambda: profile.explicit_center(-1.0, 2.0)):
+            with pytest.raises(IndexRangeError):
+                read()
+
+    def test_arrays_are_read_only(self, two_point):
+        profile = MomentProfile(realize(two_point, -140, 50, seed=7))
+        for arr in (profile.mu_array(10), profile.sigma2_array(10)):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 def loop_profile(window, n):
@@ -214,25 +241,22 @@ class TestBlockScan:
 
     @pytest.mark.parametrize("name", ["two-point", "slow", "zero-speed"])
     def test_piecewise_growth_equals_one_shot(self, name):
+        # call order: a profile read in pieces holds the same bits as one
+        # read whole, on laws whose carried block starts differ in the last
+        # bits from one block partition to another (slow, zero-speed)
         w = scan_window(SCAN_LAWS[name])
+        n = w.hi + 1
         whole = MomentProfile(w)
-        mu = whole.mu_array(SCAN_SITES).copy()
-        sg = whole.sigma2_array(SCAN_SITES).copy()
-        h = np.array([whole.hitting_centering(m) for m in range(SCAN_SITES + 1)])
+        mu, sg = whole.mu_array(n), whole.sigma2_array(n)
+        h = np.array([whole.hitting_centering(m) for m in range(n + 1)])
         pieces = MomentProfile(w)
-        for upto in (1, 37, 5000, SCAN_SITES):
+        for upto in (1, 37, 5000, n):
             pieces.mu_array(upto)
-            assert pieces.size == upto
-            pieces.hitting_centering(upto // 2)  # no growth below the size
-            assert pieces.size == upto
-        got_h = np.array([pieces.hitting_centering(m) for m in range(SCAN_SITES + 1)])
-        for got, ref in ((pieces.mu_array(SCAN_SITES), mu),
-                         (pieces.sigma2_array(SCAN_SITES), sg), (got_h[1:], h[1:])):
-            assert np.max(np.abs(got - ref) / ref) <= 1e-13
-        if name == "two-point":
-            # fast contraction: every carried block start is the loop's value
-            assert np.array_equal(pieces.mu_array(SCAN_SITES), mu)
-            assert np.array_equal(got_h, h)
+            pieces.hitting_centering(upto // 2)
+        got_h = np.array([pieces.hitting_centering(m) for m in range(n + 1)])
+        assert np.array_equal(pieces.mu_array(n), mu)
+        assert np.array_equal(pieces.sigma2_array(n), sg)
+        assert np.array_equal(got_h, h)
 
 
 class TestHittingCentering:
@@ -260,32 +284,35 @@ class TestCenterings:
 
     def test_implicit_constant_examples(self):
         profile = MomentProfile(constant_window(0.75))
-        cv = profile.implicit_center(100)
-        assert cv.implicit == 50
-        assert cv.centering_below == pytest.approx(100.0, abs=1e-9)
-        assert cv.centering_above == pytest.approx(102.0, abs=1e-9)
-        assert profile.implicit_center(99).implicit == 49
-        assert profile.implicit_center(0).implicit == 0
+        b = profile.implicit_center(100)
+        assert b == 50
+        assert profile.hitting_centering(b) == pytest.approx(100.0, abs=1e-9)
+        assert profile.hitting_centering(b + 1) == pytest.approx(102.0, abs=1e-9)
+        assert profile.implicit_center(99) == 49
+        assert profile.implicit_center(0) == 0
 
     def test_implicit_bracket_property(self, two_point):
         w = realize(two_point, -140, 3000, seed=5)
         profile = MomentProfile(w)
         rng = np.random.default_rng(0)
         for t in rng.uniform(0, 5000, size=1000):
-            cv = profile.implicit_center(float(t))
-            assert cv.centering_below <= t < cv.centering_above
+            b = profile.implicit_center(float(t))
+            assert profile.hitting_centering(b) <= t < profile.hitting_centering(b + 1)
 
     def test_tie_resolves_to_larger_index(self):
         profile = MomentProfile(constant_window(0.75))
         # t = H(51) = 102 exactly: strict right inequality picks 51
-        assert profile.implicit_center(102).implicit == 51
+        b = profile.implicit_center(102)
+        assert b == 51
+        assert profile.hitting_centering(b) <= 102 < profile.hitting_centering(b + 1)
 
     def test_floor_relation_constant(self):
         w = constant_window(0.75)
         profile = MomentProfile(w)
         for t in range(0, 500):
             b = profile.explicit_center(t, 2.0)
-            bt = profile.implicit_center(t).implicit
+            bt = profile.implicit_center(t)
+            assert profile.hitting_centering(bt) <= t < profile.hitting_centering(bt + 1)
             assert math.floor(b) in (bt, bt + 1)
 
 

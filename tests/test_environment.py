@@ -247,8 +247,6 @@ class TestGrowthRate:
     def test_kappa_validation(self, two_point):
         with pytest.raises(ModelError):
             odds_growth_rate(two_point, -0.5)
-        with pytest.raises(ModelError):
-            odds_growth_rate(two_point, 4.0, gamma=3.0)
 
     def test_parametric_near_edge_law_converges(self):
         # the odds span 12 orders of magnitude; quadrature in p instead of
