@@ -31,7 +31,6 @@ from .walk import (  # noqa: F401
     first_passage_index,
     sample_hitting_times,
     sample_position,
-    step,
 )
 from .oracle import (  # noqa: F401
     exact_position_distribution,

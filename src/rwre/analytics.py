@@ -329,15 +329,15 @@ class MomentProfile:
 
     def hitting_centering(self, n: float) -> float:
         """Expected hitting time H(n) = sum_{k < floor(n)} mu_k; H(0) = 0."""
-        m = math.floor(n)
-        if m < 0:
+        if not n >= 0:  # NaN included
             raise IndexRangeError(f"hitting centering needs n >= 0, got {n}")
+        m = math.floor(n)
         self._check(m)
         return float(self._prefix[m])
 
     def implicit_center(self, t: float) -> int:
         """The unique integer b with H(b) <= t < H(b+1)."""
-        if t < 0:
+        if not t >= 0:  # NaN included
             raise IndexRangeError(f"implicit centering needs t >= 0, got {t}")
         if self._prefix[-1] <= t:
             raise WindowTooSmallError(
@@ -348,7 +348,7 @@ class MomentProfile:
 
     def explicit_center(self, t: float, mu_global: float) -> float:
         """2t/mu - H(t/mu)/mu, with the floor convention inside H."""
-        if t < 0:
+        if not t >= 0:  # NaN included
             raise IndexRangeError(f"explicit centering needs t >= 0, got {t}")
         z = t / mu_global
         return 2.0 * z - self.hitting_centering(z) / mu_global
@@ -478,9 +478,9 @@ def summary(model: EnvironmentModel) -> SummaryStatistics:
     are recorded for audit, and the printed one is flagged when it differs
     from sigma2 by more than 1e-9 relative.
     """
-    lam = mean_log_odds(model).value
-    r1 = odds_growth_rate(model, 1.0).value
-    r2 = odds_growth_rate(model, 2.0).value
+    lam = mean_log_odds(model)
+    r1 = odds_growth_rate(model, 1.0)
+    r2 = odds_growth_rate(model, 2.0)
     if lam >= -RECURRENCE_TOL:
         raise NotCltEligibleError(
             f"mean log odds {lam:.6g} is not negative; walk is not transient right"
@@ -520,7 +520,7 @@ def reference_crossing_mean(model: EnvironmentModel) -> float:
     is rational and single-orbit averages converge to the wrong value.
     Raises NotCltEligibleError when the order-1 growth rate is not below 1.
     """
-    r1 = odds_growth_rate(model, 1.0).value
+    r1 = odds_growth_rate(model, 1.0)
     if r1 >= 1.0:
         raise NotCltEligibleError(f"order-1 growth rate {r1:.6g} >= 1; mean diverges")
-    return _law_moments(model, r1, odds_growth_rate(model, 2.0).value)[0]
+    return _law_moments(model, r1, odds_growth_rate(model, 2.0))[0]

@@ -122,9 +122,6 @@ def _load_config(path: str, args) -> ExperimentConfig:
             raise ConfigError(f"seeds.{name}: must be non-negative, got {value}")
 
     fields = dict(experiment)
-    for grid in ("x_grid", "t_grid", "n_grid"):
-        if grid in fields:
-            fields[grid] = tuple(fields[grid])
     if args.centering is not None:
         fields["centering"] = args.centering
     try:
@@ -149,7 +146,7 @@ def _jsonify(value):
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (float, np.floating)):  # non-finite as in samples.csv: inf, -inf, nan
-        return float(value) if math.isfinite(value) else _fmt(value)
+        return float(value) if math.isfinite(value) else repr(float(value))
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _jsonify(dataclasses.asdict(value))
     return value
@@ -159,16 +156,12 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_jsonify(payload), sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _write_samples(path: Path, raw: np.ndarray, standardized: np.ndarray) -> None:
+    """One row per replica; raw samples are integer arrays (T(n) or X(t))."""
     with open(path, "w", newline="\n") as fh:
         fh.write("replica,value,standardized\n")
         for i, (v, z) in enumerate(zip(raw.tolist(), standardized.tolist())):
-            v_txt = str(int(v)) if float(v).is_integer() else _fmt(v)
-            fh.write(f"{i},{v_txt},{_fmt(z)}\n")
+            fh.write(f"{i},{v},{z!r}\n")
 
 
 def _write_cdf(path: Path, standardized: np.ndarray) -> None:
@@ -177,9 +170,9 @@ def _write_cdf(path: Path, standardized: np.ndarray) -> None:
     phi = harness.normal_cdf(zs)
     with open(path, "w", newline="\n") as fh:
         fh.write("x,ecdf,phi,diff\n")
-        for i in range(m):
-            ecdf = (i + 1) / m
-            fh.write(f"{_fmt(zs[i])},{_fmt(ecdf)},{_fmt(phi[i])},{_fmt(ecdf - phi[i])}\n")
+        for i, (z, f) in enumerate(zip(zs.tolist(), phi.tolist()), start=1):
+            ecdf = i / m
+            fh.write(f"{z!r},{ecdf!r},{f!r},{ecdf - f!r}\n")
 
 
 def _config_snapshot(config: ExperimentConfig) -> dict:
@@ -233,7 +226,7 @@ def _analyze_report(config: ExperimentConfig) -> dict:
     model = config.model
     cls = classify(model)
     kappa_grid = [0.25 * i for i in range(9)]
-    growth = [odds_growth_rate(model, k).value for k in kappa_grid]
+    growth = [odds_growth_rate(model, k) for k in kappa_grid]
     log_growth = [float(np.log(g)) for g in growth]
     second_diff = [
         log_growth[i + 1] - 2 * log_growth[i] + log_growth[i - 1]
@@ -244,10 +237,10 @@ def _analyze_report(config: ExperimentConfig) -> dict:
         "model": model_to_dict(model),
         "classification": {
             "regime": cls.regime.value,
-            "lambda": cls.log_odds_mean.value,
+            "lambda": cls.log_odds_mean,
             "tolerance": cls.tolerance,
             "within_tolerance": cls.within_tolerance,
-            "method": cls.log_odds_mean.method,
+            "method": cls.method,
         },
         "growth_rates": {
             "kappa": kappa_grid,
@@ -255,7 +248,7 @@ def _analyze_report(config: ExperimentConfig) -> dict:
             "log_second_differences": second_diff,
             "log_convex": bool(all(d >= -1e-9 for d in second_diff)),
         },
-        "conditions": dataclasses.asdict(check_conditions(model, 3.0)),
+        "conditions": dataclasses.asdict(check_conditions(model)),
     }
     try:
         summ = analytics.summary(model)
@@ -271,7 +264,7 @@ def _analyze_report(config: ExperimentConfig) -> dict:
 def _oracle_check_report(config: ExperimentConfig) -> dict:
     """Cross-module equivalence audit on the configured model."""
     model = config.model
-    conditions = check_conditions(model, 3.0)
+    conditions = check_conditions(model)
     payload: dict = {
         "kind": "oracle_check",
         "model": model_to_dict(model),

@@ -36,7 +36,6 @@ __all__ = [
     "QuasiPeriodic",
     "EnvironmentModel",
     "EnvironmentWindow",
-    "Estimate",
     "Regime",
     "Classification",
     "ConditionReport",
@@ -53,6 +52,7 @@ __all__ = [
 
 _PHASE_GRID = 8192  # density of the validation grid for quasi-periodic p(.)
 RECURRENCE_TOL = 1e-9  # |E ln A| at or below this is classified recurrent
+GAMMA = 3.0  # moment exponent (> 2) at which check_conditions evaluates C3 and C4
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +177,11 @@ def _check_prob(field: str, value: float) -> None:
         raise ModelError(f"{field}: probability must lie strictly in (0,1), got {value!r}")
 
 
-def _small_denominator(alpha: float, max_q: int = 64, tol: float = 1e-9) -> int | None:
-    """Smallest denominator q <= max_q with |alpha - h/q| < tol, else None."""
-    for q in range(1, max_q + 1):
+def _small_denominator(alpha: float) -> int | None:
+    """Smallest denominator q <= 64 with |alpha - h/q| < 1e-9, else None."""
+    for q in range(1, 65):
         h = round(alpha * q)
-        if abs(alpha - h / q) < tol:
+        if abs(alpha - h / q) < 1e-9:
             return q
     return None
 
@@ -339,14 +339,6 @@ def realize(model: EnvironmentModel, lo: int, hi: int, seed: int) -> Environment
 # law-level functionals
 
 
-@dataclass(frozen=True)
-class Estimate:
-    """A law functional's value and the method that produced it."""
-
-    value: float
-    method: str
-
-
 @functools.cache
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes on [-1, 1] for even n, and the logs of their weights.
@@ -432,7 +424,7 @@ def _atom_mean(model: Constant | IidDiscrete, f) -> float:
         return math.inf
 
 
-def mean_log_odds(model: EnvironmentModel) -> Estimate:
+def mean_log_odds(model: EnvironmentModel) -> float:
     """The drift functional: the expected log odds ratio E ln((1-p)/p).
 
     Its sign decides the transience direction.  Closed form for constant and
@@ -440,10 +432,10 @@ def mean_log_odds(model: EnvironmentModel) -> Estimate:
     laws.
     """
     if isinstance(model, (Constant, IidDiscrete)):
-        return Estimate(_atom_mean(model, lambda p: math.log((1.0 - p) / p)), "closed-form")
+        return _atom_mean(model, lambda p: math.log((1.0 - p) / p))
     if isinstance(model, QuasiPeriodic):
-        return Estimate(_qp_lambda(model), "quadrature")
-    return Estimate(_parametric_mean(model, lambda x: x), "quadrature")
+        return _qp_lambda(model)
+    return _parametric_mean(model, lambda x: x)
 
 
 class Regime(Enum):
@@ -454,10 +446,14 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class Classification:
+    """Transience regime, the mean log odds behind it, and how that mean was
+    computed: "closed-form" for constant and finite laws, else "quadrature"."""
+
     regime: Regime
-    log_odds_mean: Estimate
+    log_odds_mean: float
     tolerance: float
     within_tolerance: bool
+    method: str
 
 
 def classify(model: EnvironmentModel) -> Classification:
@@ -466,9 +462,10 @@ def classify(model: EnvironmentModel) -> Classification:
     ``|value| <= RECURRENCE_TOL`` is reported as recurrent with a
     within-tolerance flag.
     """
-    est = mean_log_odds(model)
-    regime = _regime(est.value)
-    return Classification(regime, est, RECURRENCE_TOL, regime is Regime.RECURRENT)
+    lam = mean_log_odds(model)
+    regime = _regime(lam)
+    method = "closed-form" if isinstance(model, (Constant, IidDiscrete)) else "quadrature"
+    return Classification(regime, lam, RECURRENCE_TOL, regime is Regime.RECURRENT, method)
 
 
 def _regime(log_odds_mean: float) -> Regime:
@@ -477,7 +474,7 @@ def _regime(log_odds_mean: float) -> Regime:
     return Regime.TRANSIENT_RIGHT if log_odds_mean < 0 else Regime.TRANSIENT_LEFT
 
 
-def odds_growth_rate(model: EnvironmentModel, kappa: float) -> Estimate:
+def odds_growth_rate(model: EnvironmentModel, kappa: float) -> float:
     """Growth rate of the expected kappa-th power of odds-ratio products.
 
     For i.i.d. laws this is the kappa-th moment of a single odds ratio; for
@@ -487,12 +484,12 @@ def odds_growth_rate(model: EnvironmentModel, kappa: float) -> Estimate:
     if kappa < 0:
         raise ModelError(f"kappa: must be non-negative, got {kappa}")
     if kappa == 0:
-        return Estimate(1.0, "closed-form")
+        return 1.0
     if isinstance(model, (Constant, IidDiscrete)):
-        return Estimate(_atom_mean(model, lambda p: ((1.0 - p) / p) ** kappa), "closed-form")
+        return _atom_mean(model, lambda p: ((1.0 - p) / p) ** kappa)
     if isinstance(model, QuasiPeriodic):
-        return Estimate(math.exp(kappa * _qp_lambda(model)), "quadrature")
-    return Estimate(_parametric_mean(model, lambda x: np.exp(kappa * x)), "quadrature")
+        return math.exp(kappa * _qp_lambda(model))
+    return _parametric_mean(model, lambda x: np.exp(kappa * x))
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +498,14 @@ def odds_growth_rate(model: EnvironmentModel, kappa: float) -> Estimate:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Verdicts for the moment and ergodicity conditions at an exponent gamma > 2.
+    """Verdicts for the moment and ergodicity conditions at ``gamma`` = GAMMA.
 
-    ``evidence`` carries the numbers behind the verdicts: C2 needs a finite
-    drift, C3 finite E p^-gamma and E q^-gamma (for quasi-periodic laws, p(.)
-    inside (0, 1)), C4 a finite gamma growth rate.
+    The paper needs the moments at some gamma > 2.  Every law family here
+    keeps p inside (0, 1), so they are finite at every gamma and checking
+    them at 3 loses nothing.  ``evidence`` carries the numbers behind the
+    verdicts: C2 needs a finite drift, C3 finite E p^-gamma and E q^-gamma
+    (for quasi-periodic laws, p(.) inside (0, 1)), C4 a finite gamma growth
+    rate.
     """
 
     gamma: float
@@ -521,29 +521,24 @@ class ConditionReport:
     clt_eligible: bool
     evidence: dict
 
-    def all_hold(self) -> bool:
-        return self.holds_c1 and self.holds_c2 and self.holds_c3 and self.holds_c4
 
-
-def check_conditions(model: EnvironmentModel, gamma: float) -> ConditionReport:
-    """Evaluate the standing conditions: ergodicity, log moments, gamma-th
-    negative moments of p and 1-p, and boundedness of the gamma growth rate.
+def check_conditions(model: EnvironmentModel) -> ConditionReport:
+    """Evaluate the standing conditions: ergodicity, log moments, GAMMA-th
+    negative moments of p and 1-p, and boundedness of the GAMMA growth rate.
 
     The evidence is exact for constant and finitely supported laws and comes
     from the deterministic quadratures for quasi-periodic and parametric
     laws, so every verdict is computed rather than sampled.
     """
-    if not gamma > 2:
-        raise ModelError(f"gamma: must exceed 2, got {gamma}")
     lam = mean_log_odds(model)
     r1 = odds_growth_rate(model, 1.0)
     r2 = odds_growth_rate(model, 2.0)
-    evidence: dict = {"lambda": lam.value}
+    evidence: dict = {"lambda": lam}
     holds_c1 = True
     if isinstance(model, (Constant, IidDiscrete)):
-        evidence["E_p_neg_gamma"] = _atom_mean(model, lambda p: p**-gamma)
-        evidence["E_q_neg_gamma"] = _atom_mean(model, lambda p: (1.0 - p) ** -gamma)
-        evidence["r_gamma"] = odds_growth_rate(model, gamma).value
+        evidence["E_p_neg_gamma"] = _atom_mean(model, lambda p: p**-GAMMA)
+        evidence["E_q_neg_gamma"] = _atom_mean(model, lambda p: (1.0 - p) ** -GAMMA)
+        evidence["r_gamma"] = odds_growth_rate(model, GAMMA)
     elif isinstance(model, QuasiPeriodic):
         q = _small_denominator(model.alpha)
         holds_c1 = q is None
@@ -552,33 +547,33 @@ def check_conditions(model: EnvironmentModel, gamma: float) -> ConditionReport:
         grid = model.p_of_phase(np.arange(_PHASE_GRID) / _PHASE_GRID)
         evidence["p_min"] = float(grid.min())
         evidence["p_max"] = float(grid.max())
-        evidence["r_gamma"] = math.exp(gamma * lam.value)
+        evidence["r_gamma"] = math.exp(GAMMA * lam)
     else:
         # p^-gamma = exp(-gamma ln p) with ln p = ln expit(-x), and likewise for 1-p
-        evidence["E_p_neg_gamma"] = _parametric_mean(model, lambda x: np.exp(-gamma * log_expit(-x)))
-        evidence["E_q_neg_gamma"] = _parametric_mean(model, lambda x: np.exp(-gamma * log_expit(x)))
-        evidence["r_gamma"] = _parametric_mean(model, lambda x: np.exp(gamma * x))
+        evidence["E_p_neg_gamma"] = _parametric_mean(model, lambda x: np.exp(-GAMMA * log_expit(-x)))
+        evidence["E_q_neg_gamma"] = _parametric_mean(model, lambda x: np.exp(-GAMMA * log_expit(x)))
+        evidence["r_gamma"] = _parametric_mean(model, lambda x: np.exp(GAMMA * x))
         evidence["support"] = [model.p_lo, model.p_hi]
-    evidence["r1"] = r1.value
-    evidence["r2"] = r2.value
+    evidence["r1"] = r1
+    evidence["r2"] = r2
     if isinstance(model, QuasiPeriodic):
         holds_c3 = 0.0 < evidence["p_min"] and evidence["p_max"] < 1.0
     else:
         holds_c3 = math.isfinite(evidence["E_p_neg_gamma"]) and math.isfinite(evidence["E_q_neg_gamma"])
 
-    regime = _regime(lam.value)
+    regime = _regime(lam)
     return ConditionReport(
-        gamma=gamma,
+        gamma=GAMMA,
         holds_c1=holds_c1,
-        holds_c2=math.isfinite(lam.value),
+        holds_c2=math.isfinite(lam),
         holds_c3=holds_c3,
         holds_c4=math.isfinite(evidence["r_gamma"]),
-        r1=r1.value,
-        r2=r2.value,
-        log_odds_mean=lam.value,
+        r1=r1,
+        r2=r2,
+        log_odds_mean=lam,
         regime=regime.value,
-        speed="positive" if regime is Regime.TRANSIENT_RIGHT and r1.value < 1.0 else "zero",
-        clt_eligible=regime is Regime.TRANSIENT_RIGHT and r2.value < 1.0,
+        speed="positive" if regime is Regime.TRANSIENT_RIGHT and r1 < 1.0 else "zero",
+        clt_eligible=regime is Regime.TRANSIENT_RIGHT and r2 < 1.0,
         evidence=evidence,
     )
 
@@ -589,7 +584,7 @@ def check_conditions(model: EnvironmentModel, gamma: float) -> ConditionReport:
 
 def suggested_left_guard(model: EnvironmentModel) -> int:
     """Default left guard 50 + 10*ceil(1/|drift|) for transient-right walks."""
-    lam = mean_log_odds(model).value
+    lam = mean_log_odds(model)
     if lam >= 0:
         raise ModelError("suggested_left_guard: model is not transient to the right")
     return 50 + 10 * math.ceil(1.0 / abs(lam))
@@ -597,7 +592,7 @@ def suggested_left_guard(model: EnvironmentModel) -> int:
 
 def suggested_burn_in(model: EnvironmentModel) -> int:
     """Sites to the left of 0 needed to attenuate recursion seeding below ~1e-20."""
-    lam = mean_log_odds(model).value
+    lam = mean_log_odds(model)
     if lam >= 0:
         raise ModelError("suggested_burn_in: model is not transient to the right")
     return min(100_000, math.ceil(46.0 / abs(lam)) + 64)

@@ -72,13 +72,16 @@ def ks_distance(samples, reference_cdf=normal_cdf) -> float:
 class ExperimentConfig:
     """Declarative description of one experiment run.
 
-    Grids must be sorted, ``t_grid`` and ``n_grid`` entries are at least 1,
-    the replica count is at least 100, and the diagnostic exponent is
-    positive.  Seeds not given explicitly are derived
-    as children of the master seed.  ``max_steps`` caps hitting, LLN and
-    trajectory runs only: X(t) always takes exactly t steps.  Every sampler
-    runs in one process, so no field sets a worker count.  The law-level
-    constants (``analytics.summary``) are exact and take no setting.
+    ``n``, ``t``, ``replicas``, ``env_replicates``, ``left_guard`` and
+    ``max_steps`` (the last two when set) and the ``t_grid`` and ``n_grid``
+    entries are integers, not bools.  Grids must be sorted; ``n``, ``t`` and
+    the ``t_grid`` and ``n_grid`` entries are at least 1, the replica count
+    is at least 100, and the diagnostic exponent is positive.  Seeds not
+    given explicitly are derived as children of the master seed.
+    ``max_steps`` caps hitting, LLN and trajectory runs only: X(t) always
+    takes exactly t steps.  Every sampler runs in one process, so no field
+    sets a worker count.  The law-level constants (``analytics.summary``)
+    are exact and take no setting.
     """
 
     model: EnvironmentModel
@@ -101,6 +104,13 @@ class ExperimentConfig:
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n", "t", "replicas", "env_replicates", "left_guard", "max_steps"):
+            value = getattr(self, name)
+            if not (_is_int(value) or value is None and name in ("left_guard", "max_steps")):
+                raise ConfigError(f"experiment.{name}: must be an integer, got {value!r}")
+        for name in ("n", "t"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"experiment.{name}: must be >= 1, got {getattr(self, name)}")
         if self.replicas < 100:
             raise ConfigError(f"experiment.replicas: must be >= 100, got {self.replicas}")
         if self.centering not in ("explicit", "implicit"):
@@ -110,6 +120,8 @@ class ExperimentConfig:
         for name in ("x_grid", "t_grid", "n_grid"):
             grid = tuple(getattr(self, name))
             object.__setattr__(self, name, grid)
+            if name != "x_grid" and not all(_is_int(v) for v in grid):
+                raise ConfigError(f"experiment.{name}: entries must be integers, got {list(grid)}")
             if list(grid) != sorted(grid):
                 raise ConfigError(f"experiment.{name}: grid must be sorted")
             if name != "x_grid" and grid and grid[0] < 1:
@@ -135,6 +147,10 @@ class ExperimentConfig:
 
     def resolved_walk_seed(self) -> int:
         return self.walk_seed if self.walk_seed is not None else _child_seed(self.master_seed, 2)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _child_seed(seed: int, key: int) -> int:
@@ -315,10 +331,9 @@ def lln_check(config: ExperimentConfig) -> LlnReport:
     config.lln_rel_tol relative error.  Zero-speed transient laws (order-1
     growth rate >= 1) get trend reporting only: X(t)/t should fall.
     """
-    lam = mean_log_odds(config.model)
-    if lam.value >= 0:
+    if mean_log_odds(config.model) >= 0:
         raise NotCltEligibleError("LLN experiment requires a transient-right law")
-    positive_speed = odds_growth_rate(config.model, 1.0).value < 1.0
+    positive_speed = odds_growth_rate(config.model, 1.0) < 1.0
     mu = analytics.reference_crossing_mean(config.model) if positive_speed else None
 
     n_max = config.n
@@ -333,8 +348,7 @@ def lln_check(config: ExperimentConfig) -> LlnReport:
     # zero-speed walks may never reach a fixed site within any sane budget,
     # so the hitting goal is only imposed in the positive-speed regime
     obs = walk.sample_position(
-        window, 0, t_grid, rng, budget, record_hitting=True,
-        n_goal=n_max if positive_speed else None,
+        window, 0, t_grid, rng, budget, n_goal=n_max if positive_speed else None,
     )
     hit = obs.hit
     hitting_ratios = tuple(
@@ -363,9 +377,9 @@ def lln_check(config: ExperimentConfig) -> LlnReport:
     )
 
 
-def _geometric_grid(top: int, points: int = 5) -> tuple[int, ...]:
-    grid = sorted({max(1, int(round(top ** (i / (points - 1))))) for i in range(points)})
-    return tuple(grid)
+def _geometric_grid(top: int) -> tuple[int, ...]:
+    """Five points top^(i/4), i = 0..4, rounded; duplicates dropped."""
+    return tuple(sorted({max(1, int(round(top ** (i / 4)))) for i in range(5)}))
 
 
 @dataclass(frozen=True)
@@ -625,10 +639,7 @@ def coupling_identity_check(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.resolved_walk_seed(), spawn_key=(7, r))
         )
-        obs = walk.sample_position(
-            window, 0, (), rng, budget,
-            record_hitting=True, n_goal=n_goal, record_path=True,
-        )
+        obs = walk.sample_position(window, 0, (), rng, budget, n_goal=n_goal, record_path=True)
         hit = obs.hit
         path = obs.path
         t_end = int(hit[-1]) - 1

@@ -1,7 +1,7 @@
 """Quenched walk simulation.
 
-Single-replica trajectories record first-passage times, snapshots and
-(optionally) the full path, one uniform per step from blocks of 16384.  Only a
+Single-replica trajectories record their first-passage times and snapshots,
+and optionally the full path, one uniform per step from blocks of 16384.  Only a
 uniform between the least and greatest p the walker can reach needs its
 position; numpy takes the rest, so a trajectory, its errors and the generator
 state after it are bit for bit those of the step-by-step loop.
@@ -35,7 +35,6 @@ from .oracle import hitting_law, position_law
 __all__ = [
     "SimulationBudget",
     "WalkObservation",
-    "step",
     "sample_hitting_times",
     "sample_position",
     "first_passage_index",
@@ -78,18 +77,6 @@ class WalkObservation:
     path: np.ndarray | None = None
 
 
-def step(window: EnvironmentWindow, x: int, rng: np.random.Generator) -> int:
-    """One nearest-neighbour step from x: +1 with probability p_x, else -1.
-
-    Consumes exactly one uniform draw.  x must be strictly inside the window.
-    """
-    if x <= window.lo:
-        raise LeftGuardBreachError(f"position {x} at or beyond left window edge {window.lo}")
-    if x >= window.hi:
-        raise RightGuardBreachError(f"position {x} at or beyond right window edge {window.hi}")
-    return x + 1 if rng.random() < window.p[x - window.lo] else x - 1
-
-
 def _simulate(
     window: EnvironmentWindow,
     z0: int,
@@ -99,7 +86,6 @@ def _simulate(
     max_steps: int,
     n_stop: int | None = None,
     snap_times=(),
-    record_first_passage: bool = False,
     record_path: bool = False,
 ) -> WalkObservation:
     lo = window.lo
@@ -156,8 +142,7 @@ def _simulate(
         left = xs <= -left_guard
         ends = left | done | (xs >= hi)
         k = int(ends.argmax()) + 1 if ends.any() else n  # steps taken
-        if record_first_passage:
-            fp.append(t + 1 + np.flatnonzero(np.diff(record[:k], prepend=best)))
+        fp.append(t + 1 + np.flatnonzero(np.diff(record[:k], prepend=best)))
         if record_path:
             path.append(xs[:k])
         while si < len(snap_times) and snap_times[si] <= t + k:
@@ -202,7 +187,6 @@ def sample_hitting_times(
         left_guard=budget.left_guard,
         max_steps=budget.max_steps,
         n_stop=n,
-        record_first_passage=True,
     )
 
 
@@ -213,14 +197,15 @@ def sample_position(
     rng: np.random.Generator,
     budget: SimulationBudget,
     *,
-    record_hitting: bool = False,
     n_goal: int | None = None,
     record_path: bool = False,
 ) -> WalkObservation:
     """Position snapshots X(t) at the requested times from one trajectory.
 
-    ``record_hitting`` turns on the joint mode that also records the
-    first-passage structure (used by the coupling identity checks).
+    The observation also carries the trajectory's first-passage record
+    (``hit``, ``tau``) up to the furthest site it reached.  With ``n_goal``
+    the walk runs on until it first reaches ``n_goal``, so T(0)..T(n_goal)
+    are all recorded: the joint mode of the LLN and coupling identity checks.
     """
     t_list = sorted(int(t) for t in t_list)
     if t_list and t_list[0] < 0:
@@ -233,7 +218,6 @@ def sample_position(
         max_steps=budget.max_steps,
         snap_times=t_list,
         n_stop=n_goal,
-        record_first_passage=record_hitting,
         record_path=record_path,
     )
 

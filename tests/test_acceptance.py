@@ -228,7 +228,7 @@ def test_criterion_10_log_convexity():
     worst = math.inf
     for name, model in models.items():
         kappas = [0.25 * i for i in range(9)]
-        logs = [math.log(odds_growth_rate(model, k).value) for k in kappas]
+        logs = [math.log(odds_growth_rate(model, k)) for k in kappas]
         second = [logs[i + 1] - 2 * logs[i] + logs[i - 1] for i in range(1, 8)]
         worst = min(worst, min(second))
         assert min(second) >= -1e-9, f"{name}: second difference {min(second)}"

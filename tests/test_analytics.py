@@ -141,7 +141,11 @@ class TestProfile:
                      lambda: profile.hitting_centering(-1),
                      lambda: profile.hitting_centering(-0.5),
                      lambda: profile.implicit_center(-1e-9),
-                     lambda: profile.explicit_center(-1.0, 2.0)):
+                     lambda: profile.explicit_center(-1.0, 2.0),
+                     # NaN fails every comparison: t < 0 let it through
+                     lambda: profile.hitting_centering(math.nan),
+                     lambda: profile.implicit_center(math.nan),
+                     lambda: profile.explicit_center(math.nan, 2.0)):
             with pytest.raises(IndexRangeError):
                 read()
 

@@ -126,6 +126,30 @@ class TestErrors:
         )
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command,experiment", [
+        ("clt-position", {"kind": "clt_position", "t": -5}),
+        ("clt-position", {"kind": "clt_position", "t": 0}),
+        ("lln", {"kind": "lln", "n": -3}),
+        ("lln", {"kind": "lln", "t_grid": 5}),
+        ("lln", {"kind": "lln", "n": 1000, "t": 4000, "t_grid": [100.5, 4000]}),
+        ("lln", {"kind": "lln", "n": 1000, "t": 4000, "n_grid": [10.5, 1000]}),
+        ("clt-hitting", {"kind": "clt_hitting", "n": 300, "replicas": 200.0}),
+        ("clt-hitting", {"kind": "clt_hitting", "n": 300.0, "replicas": 200}),
+        ("clt-hitting", {"kind": "clt_hitting", "n": 300, "replicas": 200, "left_guard": 50.5}),
+        ("clt-hitting", {"kind": "clt_hitting", "n": 300, "replicas": 200, "max_steps": 1e6}),
+        ("diagnostics", {"kind": "diagnostics", "env_replicates": 1.5}),
+    ], ids=["t-negative", "t-zero", "n-negative", "t_grid-scalar", "t_grid-float", "n_grid-float",
+            "replicas-float", "n-float", "left_guard-float", "max_steps-float",
+            "env_replicates-float"])
+    def test_bad_counts_are_config_errors(self, tmp_path, capsys, command, experiment):
+        # counts and grid entries must be integers, and n and t at least 1
+        cfg = write_config(
+            tmp_path / "c.json", {"type": "iid_discrete", "atoms": [[0.8, 0.5], [0.6, 0.5]]},
+            experiment, {"master": 1},
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_numerical_error_exit_code(self, tmp_path):
         # at t = 10 the explicit window for x = -3 reaches left of site 0,
         # outside the centered prefix sums

@@ -44,11 +44,11 @@ def uniform_closed_forms(lo, hi):
 
 
 def law_functionals(model):
-    rep = check_conditions(model, gamma=3.0)
+    rep = check_conditions(model)
     return {
-        "ln_a": mean_log_odds(model).value,
-        "a": odds_growth_rate(model, 1.0).value,
-        "a2": odds_growth_rate(model, 2.0).value,
+        "ln_a": mean_log_odds(model),
+        "a": odds_growth_rate(model, 1.0),
+        "a2": odds_growth_rate(model, 2.0),
         "p_neg_3": rep.evidence["E_p_neg_gamma"],
         "q_neg_3": rep.evidence["E_q_neg_gamma"],
     }
@@ -156,19 +156,18 @@ class TestOddsRatio:
 
 class TestMeanLogOdds:
     def test_constant(self):
-        assert mean_log_odds(Constant(0.75)).value == pytest.approx(math.log(1 / 3), rel=1e-14)
-        assert mean_log_odds(Constant(0.5)).value == pytest.approx(0.0, abs=1e-15)
+        assert mean_log_odds(Constant(0.75)) == pytest.approx(math.log(1 / 3), rel=1e-14)
+        assert mean_log_odds(Constant(0.5)) == pytest.approx(0.0, abs=1e-15)
 
     def test_two_point_closed_form(self, two_point):
         expected = 0.5 * (math.log(0.25) + math.log(2.0 / 3.0))
-        est = mean_log_odds(two_point)
-        assert est.value == pytest.approx(expected, rel=1e-14)
+        assert mean_log_odds(two_point) == pytest.approx(expected, rel=1e-14)
 
     def test_quasi_periodic_quadrature_matches_orbit_average(self, golden_qp):
         # worst-start window averages of ln A approach the circle average;
         # single-start gaps oscillate with the rotation's continued fraction,
         # so the uniform (max over starts) version is what decreases
-        lam = mean_log_odds(golden_qp).value
+        lam = mean_log_odds(golden_qp)
         w = realize(golden_qp, 0, 12_001, seed=0)
         prefix = np.concatenate([[0.0], np.cumsum(np.log(w.odds_array()))])
         starts = 500
@@ -181,8 +180,7 @@ class TestMeanLogOdds:
         assert abs(float(np.mean(np.log(w.odds_array()[:10_000]))) - lam) <= gaps[2]
 
     def test_parametric_uniform_closed_forms(self, uniform_parametric):
-        est = mean_log_odds(uniform_parametric)
-        assert est.method == "quadrature"
+        assert classify(uniform_parametric).method == "quadrature"
         got = law_functionals(uniform_parametric)
         for name, want in uniform_closed_forms(0.55, 0.9).items():
             assert got[name] == pytest.approx(want, rel=1e-13), name
@@ -198,9 +196,11 @@ class TestMeanLogOdds:
 
     def test_every_family_exact(self, two_point, golden_qp, uniform_parametric):
         for model in (Constant(0.75), two_point, golden_qp, uniform_parametric, BETA_22):
-            for est in (mean_log_odds(model), odds_growth_rate(model, 1.0),
-                        odds_growth_rate(model, 2.5)):
-                assert est.method in ("closed-form", "quadrature"), model
+            for value in (mean_log_odds(model), odds_growth_rate(model, 1.0),
+                          odds_growth_rate(model, 2.5)):
+                assert type(value) is float, model
+            atoms = isinstance(model, (Constant, IidDiscrete))
+            assert classify(model).method == ("closed-form" if atoms else "quadrature"), model
 
 
 class TestClassify:
@@ -227,20 +227,20 @@ class TestClassify:
 
 class TestGrowthRate:
     def test_constant_kappa2(self):
-        assert odds_growth_rate(Constant(0.75), 2.0).value == pytest.approx(1 / 9, rel=1e-14)
+        assert odds_growth_rate(Constant(0.75), 2.0) == pytest.approx(1 / 9, rel=1e-14)
 
     def test_two_point_kappa1(self, two_point):
         expected = (0.25 + 2.0 / 3.0) / 2.0
-        assert odds_growth_rate(two_point, 1.0).value == pytest.approx(expected, rel=1e-14)
+        assert odds_growth_rate(two_point, 1.0) == pytest.approx(expected, rel=1e-14)
 
     def test_kappa_zero_is_one(self, two_point, golden_qp, uniform_parametric):
         for model in (Constant(0.6), two_point, golden_qp, uniform_parametric):
-            assert odds_growth_rate(model, 0.0).value == 1.0
+            assert odds_growth_rate(model, 0.0) == 1.0
 
     def test_quasi_periodic_exponential_form(self, golden_qp):
-        lam = mean_log_odds(golden_qp).value
+        lam = mean_log_odds(golden_qp)
         for kappa in (0.5, 1.0, 2.0):
-            assert odds_growth_rate(golden_qp, kappa).value == pytest.approx(
+            assert odds_growth_rate(golden_qp, kappa) == pytest.approx(
                 math.exp(kappa * lam), rel=1e-12
             )
 
@@ -260,7 +260,7 @@ class TestGrowthRate:
 
     def test_beta_benchmark_law_exact(self):
         # density ~ p(1-p): r1 = int (1-p)^2 / int p(1-p) = 0.091/0.209 on [0.55, 0.95]
-        assert odds_growth_rate(BETA_22, 1.0).value == pytest.approx(91 / 209, rel=1e-13)
+        assert odds_growth_rate(BETA_22, 1.0) == pytest.approx(91 / 209, rel=1e-13)
         summ = summary(BETA_22)
         assert summ.mu == pytest.approx(150 / 59, rel=1e-13)
         assert summ.method == "closed-form"
@@ -270,15 +270,16 @@ class TestGrowthRate:
         kappas = [0.25 * i for i in range(9)]
         for model in (Constant(0.75), Constant(0.9), two_point, zero_speed,
                       golden_qp, rational_qp, uniform_parametric):
-            values = [math.log(odds_growth_rate(model, k).value) for k in kappas]
+            values = [math.log(odds_growth_rate(model, k)) for k in kappas]
             second = [values[i + 1] - 2 * values[i] + values[i - 1] for i in range(1, 8)]
             assert min(second) >= -1e-9, f"log growth rate not convex for {model}"
 
 
 class TestConditions:
     def test_constant_75(self):
-        rep = check_conditions(Constant(0.75), gamma=3.0)
-        assert rep.all_hold()
+        rep = check_conditions(Constant(0.75))
+        assert rep.gamma == 3.0
+        assert rep.holds_c1 and rep.holds_c2 and rep.holds_c3 and rep.holds_c4
         assert rep.evidence["E_p_neg_gamma"] == 0.75**-3.0
         assert rep.evidence["E_q_neg_gamma"] == 64.0
         assert rep.evidence["r_gamma"] == pytest.approx(1 / 27, rel=1e-14)
@@ -289,8 +290,8 @@ class TestConditions:
         assert rep.speed == "positive"
 
     def test_constant_half_not_eligible(self):
-        rep = check_conditions(Constant(0.5), gamma=3.0)
-        assert rep.all_hold()
+        rep = check_conditions(Constant(0.5))
+        assert rep.holds_c1 and rep.holds_c2 and rep.holds_c3 and rep.holds_c4
         assert rep.r1 == pytest.approx(1.0)
         assert not rep.clt_eligible
         assert rep.regime == "recurrent"
@@ -298,7 +299,7 @@ class TestConditions:
     @pytest.mark.parametrize("model", [Constant(1e-120), IidDiscrete(((1e-120, 0.5), (0.8, 0.5)))])
     def test_overflowing_moments_are_infinite(self, model):
         # p^-3 and the odds cubed exceed the float range
-        rep = check_conditions(model, gamma=3.0)
+        rep = check_conditions(model)
         assert rep.evidence["E_p_neg_gamma"] == math.inf
         assert rep.evidence["r_gamma"] == math.inf
         assert math.isfinite(rep.evidence["E_q_neg_gamma"])
@@ -306,37 +307,33 @@ class TestConditions:
         assert rep.regime == "transient_left"
 
     def test_two_point(self, two_point):
-        rep = check_conditions(two_point, gamma=3.0)
-        assert rep.all_hold()
+        rep = check_conditions(two_point)
+        assert rep.holds_c1 and rep.holds_c2 and rep.holds_c3 and rep.holds_c4
         assert rep.r2 == pytest.approx(73.0 / 288.0, rel=1e-14)
         assert rep.clt_eligible
 
     def test_zero_speed_tagged(self, zero_speed):
-        rep = check_conditions(zero_speed, gamma=3.0)
+        rep = check_conditions(zero_speed)
         assert rep.regime == "transient_right"
         assert rep.speed == "zero"
         assert not rep.clt_eligible  # r2 > 1
 
     def test_parametric_exact_evidence(self, uniform_parametric):
-        rep = check_conditions(uniform_parametric, gamma=3.0)
+        rep = check_conditions(uniform_parametric)
         # E A^3 = int (1/p - 1)^3 dp / w
         lo, hi = 0.55, 0.9
         r3 = ((lo**-2 - hi**-2) / 2 - 3 * (1 / lo - 1 / hi) + 3 * math.log(hi / lo) - (hi - lo)) / (hi - lo)
         assert rep.evidence["r_gamma"] == pytest.approx(r3, rel=1e-13)
         assert rep.evidence["support"] == [0.55, 0.9]
-        assert rep.holds_c2 and rep.holds_c3 and rep.all_hold()
+        assert rep.holds_c1 and rep.holds_c2 and rep.holds_c3 and rep.holds_c4
         assert rep.regime == "transient_right" and rep.clt_eligible
 
     def test_quasi_periodic_c3_from_range(self, golden_qp):
-        rep = check_conditions(golden_qp, gamma=3.0)
+        rep = check_conditions(golden_qp)
         assert rep.evidence["p_min"] == pytest.approx(0.6) and rep.evidence["p_max"] == pytest.approx(0.8)
         assert rep.holds_c2 and rep.holds_c3
 
     def test_rational_alpha_c1_flagged(self, rational_qp):
-        rep = check_conditions(rational_qp, gamma=3.0)
+        rep = check_conditions(rational_qp)
         assert not rep.holds_c1
         assert rep.evidence["rational_denominator"] == 4
-
-    def test_gamma_validation(self, two_point):
-        with pytest.raises(ModelError):
-            check_conditions(two_point, gamma=2.0)

@@ -33,14 +33,13 @@ from rwre.walk import (
     first_passage_index,
     sample_hitting_times,
     sample_position,
-    step,
 )
 
 BUDGET = SimulationBudget(left_guard=80, max_steps=5_000_000)
 
 
 def stepped_simulate(window, z0, rng, *, left_guard, max_steps, n_stop=None, snap_times=(),
-                     record_first_passage=False, record_path=False):
+                     record_path=False):
     """Reference: the one-uniform-per-step loop that ``walk._simulate`` ran
     before the block engine, drawing the same 16384-uniform blocks; it stops
     at the last snapshot time, as ``sample_position`` asked it to."""
@@ -79,8 +78,7 @@ def stepped_simulate(window, z0, rng, *, left_guard, max_steps, n_stop=None, sna
         t += 1
         if x > best:
             best = x
-            if record_first_passage:
-                fp.append(t)
+            fp.append(t)
         if record_path:
             path.append(x)
         while si < len(snap_times) and t == snap_times[si]:
@@ -94,7 +92,7 @@ def stepped_simulate(window, z0, rng, *, left_guard, max_steps, n_stop=None, sna
             t >= t_stop and si >= len(snap_times) and (n_stop is None or best >= n_stop)
         ):
             raise RightGuardBreachError(f"walker reached right window edge {hi} at step {t}")
-    hit = np.array(fp, dtype=np.int64) if record_first_passage else np.zeros(1, dtype=np.int64)
+    hit = np.array(fp, dtype=np.int64)
     return WalkObservation(
         tau=np.diff(hit),
         hit=hit,
@@ -146,45 +144,6 @@ def kks_hitting_times(window, n, master_seed, n_replicas, budget):
 @pytest.fixture
 def window_75():
     return realize(Constant(0.75), -150, 2500, seed=1)
-
-
-class TestStep:
-    def test_near_deterministic_up(self):
-        p_top = np.nextafter(1.0, 0.0)
-        w = EnvironmentWindow.from_values([p_top] * 5, lo=-2)
-        rng = np.random.default_rng(0)
-        x = 0
-        for _ in range(10_000):
-            assert step(w, 0, rng) == 1
-
-    def test_empirical_up_fraction(self, window_75):
-        rng = np.random.default_rng(123)
-        ups = sum(step(window_75, 0, rng) == 1 for _ in range(100_000))
-        assert ups / 100_000 == pytest.approx(0.75, abs=0.005)
-
-    def test_replay_identical(self, window_75):
-        seq1 = [step(window_75, 0, np.random.default_rng(7)) for _ in range(1)]
-        path1 = []
-        rng = np.random.default_rng(7)
-        x = 0
-        for _ in range(500):
-            x = step(window_75, x, rng)
-            path1.append(x)
-        rng = np.random.default_rng(7)
-        x = 0
-        path2 = []
-        for _ in range(500):
-            x = step(window_75, x, rng)
-            path2.append(x)
-        assert path1 == path2
-
-    def test_edge_raises(self):
-        w = realize(Constant(0.75), -2, 2, seed=0)
-        rng = np.random.default_rng(0)
-        with pytest.raises(LeftGuardBreachError):
-            step(w, -2, rng)
-        with pytest.raises(RightGuardBreachError):
-            step(w, 2, rng)
 
 
 class TestSampleHittingTimes:
@@ -252,8 +211,7 @@ class TestSamplePosition:
 
     def test_joint_mode_records_both(self, window_75):
         rng = np.random.default_rng(3)
-        obs = sample_position(window_75, 0, [50, 500], rng, BUDGET,
-                              record_hitting=True, n_goal=100)
+        obs = sample_position(window_75, 0, [50, 500], rng, BUDGET, n_goal=100)
         assert len(obs.hit) >= 101
         assert len(obs.snapshots) == 2
 
@@ -300,7 +258,7 @@ def block_boundary_goal(window):
     """(seed, n) whose trajectory first reaches n at step exactly _BUF."""
     for seed in range(100):
         ref = stepped_simulate(window, 0, np.random.default_rng(seed), left_guard=100,
-                               max_steps=_BUF, snap_times=[_BUF], record_first_passage=True)
+                               max_steps=_BUF, snap_times=[_BUF])
         hits = np.flatnonzero(ref.hit == _BUF)
         if hits.size:
             return seed, int(hits[0])
@@ -314,10 +272,9 @@ class TestBlockEngine:
         snaps = [0, 0, 1, 7, _BUF, _BUF, _BUF + 1, 45_000]
         for seed in (1, 2):
             ref = run_both(window, 0, seed, left_guard=300, max_steps=200_000, snap_times=snaps,
-                           n_stop=40, record_first_passage=True, record_path=True)
+                           n_stop=40, record_path=True)
             assert len(ref.path) == 45_001
-            run_both(window, 3, seed, left_guard=300, max_steps=200_000, n_stop=2000,
-                     record_first_passage=True)
+            run_both(window, 3, seed, left_guard=300, max_steps=200_000, n_stop=2000)
 
     def test_left_guard_breach(self):
         # transient left: the walker reaches the guard before +40; in the second
@@ -327,7 +284,7 @@ class TestBlockEngine:
         for window in (w, steps):
             for seed in range(5):
                 ref = run_both(window, 0, seed, left_guard=5, max_steps=1_000_000, n_stop=40,
-                               record_first_passage=True, record_path=True)
+                               record_path=True)
                 assert isinstance(ref, LeftGuardBreachError)
         # a start at the guard itself may step back inside
         run_both(w, -5, 0, left_guard=5, max_steps=100, snap_times=[50])
@@ -337,19 +294,16 @@ class TestBlockEngine:
         ref = run_both(w, 0, 1, left_guard=100, max_steps=10**6, snap_times=[5000])
         assert isinstance(ref, RightGuardBreachError)
         # reaching the edge exactly when the goal is met is no breach
-        ref = run_both(w, 0, 1, left_guard=100, max_steps=10**6, n_stop=200,
-                       record_first_passage=True)
+        ref = run_both(w, 0, 1, left_guard=100, max_steps=10**6, n_stop=200)
         assert len(ref.hit) == 201
 
     def test_step_cap_at_hitting_time(self):
-        ref = run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=10**6, n_stop=8000,
-                       record_first_passage=True)
+        ref = run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=10**6, n_stop=8000)
         t_hit = int(ref.hit[-1])
         assert t_hit > _BUF  # the cap falls in a later block
-        run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=t_hit, n_stop=8000,
-                 record_first_passage=True)
+        run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=t_hit, n_stop=8000)
         ref = run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=t_hit - 1,
-                       n_stop=8000, record_first_passage=True)
+                       n_stop=8000)
         assert isinstance(ref, StepBudgetExceededError)
         for max_steps in (17, 50):
             ref = run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=max_steps,
@@ -379,7 +333,7 @@ class TestBlockEngine:
     def test_goal_met_at_block_boundary(self):
         seed, n = block_boundary_goal(TWO_POINT_WINDOW)
         ref = run_both(TWO_POINT_WINDOW, 0, seed, left_guard=100, max_steps=10**6, n_stop=n,
-                       record_first_passage=True, record_path=True)
+                       record_path=True)
         assert int(ref.hit[-1]) == _BUF and len(ref.path) == _BUF + 1
         # a cap at the boundary raises before the next block is drawn
         ref = run_both(TWO_POINT_WINDOW, 0, seed, left_guard=100, max_steps=_BUF, n_stop=n + 1)
@@ -422,7 +376,7 @@ class TestFirstPassageIndex:
         for r in range(25):
             rng = np.random.default_rng(50 + r)
             obs = sample_position(window_75, 0, [], rng, BUDGET,
-                                  record_hitting=True, n_goal=80, record_path=True)
+                                  n_goal=80, record_path=True)
             t_end = int(obs.hit[-1]) - 1
             for t in range(0, t_end, 7):
                 n_t = first_passage_index(obs, t)
