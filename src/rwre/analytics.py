@@ -331,7 +331,7 @@ class MomentProfile:
         """Expected hitting time H(n) = sum_{k < floor(n)} mu_k; H(0) = 0."""
         if not n >= 0:  # NaN included
             raise IndexRangeError(f"hitting centering needs n >= 0, got {n}")
-        m = math.floor(n)
+        m = math.floor(min(n, self.size + 1))  # math.floor(inf) would overflow
         self._check(m)
         return float(self._prefix[m])
 

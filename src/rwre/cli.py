@@ -103,13 +103,15 @@ def _load_config(path: str, args) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"config.experiment: unknown fields {sorted(unknown)}")
     seeds = raw.get("seeds", {})
+    if not isinstance(seeds, dict):
+        raise ConfigError("config.seeds: must be an object")
     unknown = set(seeds) - {"master", "env", "walk"}
     if unknown:
         raise ConfigError(f"config.seeds: unknown fields {sorted(unknown)}")
 
     master = DEFAULT_SEED
     if seeds.get("master") is not None:
-        master = int(seeds["master"])
+        master = seeds["master"]
     if os.environ.get("RWRE_SEED"):
         try:
             master = int(os.environ["RWRE_SEED"], 0)
@@ -117,9 +119,6 @@ def _load_config(path: str, args) -> ExperimentConfig:
             raise ConfigError("RWRE_SEED: must be an integer")
     if args.seed is not None:
         master = args.seed
-    for name, value in (("master", master), ("env", seeds.get("env")), ("walk", seeds.get("walk"))):
-        if value is not None and int(value) < 0:
-            raise ConfigError(f"seeds.{name}: must be non-negative, got {value}")
 
     fields = dict(experiment)
     if args.centering is not None:

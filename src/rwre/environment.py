@@ -12,7 +12,10 @@ is achieved with a counter-based hash of ``(seed, k)``; quasi-periodic laws
 are deterministic by construction.
 
 Law functionals are closed forms or deterministic quadratures (Gauss-Legendre
-in x = ln A for parametric laws), so none carries a sampling error.
+in x = ln A for parametric laws), so none carries a sampling error.  The
+quadrature weights use an in-house ``_log_expit``, bit-identical to
+``scipy.special.log_expit``; scipy itself is imported only to realize a
+beta-law window (``betainc`` / ``betaincinv``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from enum import Enum
 from typing import Union
 
 import numpy as np
-from scipy.special import betainc, betaincinv, log_expit
 
 from .errors import ModelError, QuadratureError
 
@@ -259,6 +261,8 @@ def _site_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
 def _sample_parametric(model: IidParametric, u: np.ndarray) -> np.ndarray:
     if model.family == "uniform":
         return model.p_lo + u * (model.p_hi - model.p_lo)
+    from scipy.special import betainc, betaincinv  # deferred: only beta windows need scipy
+
     a, b = model.param("a"), model.param("b")
     f_lo = betainc(a, b, model.p_lo)
     f_hi = betainc(a, b, model.p_hi)
@@ -366,6 +370,17 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+def _log_expit(x: np.ndarray) -> np.ndarray:
+    """ln(1 / (1 + e^-x)) elementwise, by scipy's ``log_expit`` formula.
+
+    x - log1p(e^x) for x < 0, else -log1p(e^-x), each in scalar ``math``
+    calls: numpy's vectorized exp and log1p round differently, by up to
+    2 ulp, and the quadrature weights must not move.
+    """
+    return np.array([v - math.log1p(math.exp(v)) if v < 0 else -math.log1p(math.exp(-v))
+                     for v in x.tolist()])
+
+
 def _parametric_mean(model: IidParametric, g) -> float:
     """E g(x) for x = ln A under a truncated uniform or beta law.
 
@@ -382,7 +397,7 @@ def _parametric_mean(model: IidParametric, g) -> float:
     for n in (64, 128, 256, 512, 1024):
         nodes, log_w = _legendre(n)
         x = 0.5 * (x_hi - x_lo) * nodes + 0.5 * (x_hi + x_lo)
-        log_w = log_w + a * log_expit(-x) + b * log_expit(x)
+        log_w = log_w + a * _log_expit(-x) + b * _log_expit(x)
         w = np.exp(log_w - log_w.max())
         w /= w.sum()
         gx = g(x)
@@ -550,8 +565,8 @@ def check_conditions(model: EnvironmentModel) -> ConditionReport:
         evidence["r_gamma"] = math.exp(GAMMA * lam)
     else:
         # p^-gamma = exp(-gamma ln p) with ln p = ln expit(-x), and likewise for 1-p
-        evidence["E_p_neg_gamma"] = _parametric_mean(model, lambda x: np.exp(-GAMMA * log_expit(-x)))
-        evidence["E_q_neg_gamma"] = _parametric_mean(model, lambda x: np.exp(-GAMMA * log_expit(x)))
+        evidence["E_p_neg_gamma"] = _parametric_mean(model, lambda x: np.exp(-GAMMA * _log_expit(-x)))
+        evidence["E_q_neg_gamma"] = _parametric_mean(model, lambda x: np.exp(-GAMMA * _log_expit(x)))
         evidence["r_gamma"] = _parametric_mean(model, lambda x: np.exp(GAMMA * x))
         evidence["support"] = [model.p_lo, model.p_hi]
     evidence["r1"] = r1

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import rwre
 from rwre.environment import Constant, IidDiscrete, IidParametric, QuasiPeriodic
 
 
@@ -44,3 +49,18 @@ def rational_qp():
 @pytest.fixture
 def uniform_parametric():
     return IidParametric(family="uniform", p_lo=0.55, p_hi=0.9)
+
+
+@pytest.fixture
+def run_fresh():
+    """Run Python code in a fresh interpreter that imports this checkout's rwre
+    and return its stdout."""
+    env = dict(os.environ)
+    src = str(Path(rwre.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+
+    def run(code: str) -> str:
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True).stdout
+
+    return run

@@ -129,6 +129,7 @@ class TestProfile:
             with pytest.raises(WindowTooSmallError):
                 read(52)
         end = profile.hitting_centering(51)
+        assert profile.hitting_centering(51.5) == end
         assert profile.implicit_center(np.nextafter(end, 0.0)) == 50
         for t in (end, end + 1.0):
             with pytest.raises(WindowTooSmallError):
@@ -148,6 +149,17 @@ class TestProfile:
                      lambda: profile.explicit_center(math.nan, 2.0)):
             with pytest.raises(IndexRangeError):
                 read()
+
+    @pytest.mark.parametrize("read", [
+        lambda profile: profile.hitting_centering(math.inf),
+        lambda profile: profile.explicit_center(math.inf, 2.0),
+        lambda profile: profile.implicit_center(math.inf),
+    ], ids=["hitting_centering", "explicit_center", "implicit_center"])
+    def test_infinite_argument_exhausts_window(self, two_point, read):
+        # math.floor(inf) overflows; every centering must report the window instead
+        profile = MomentProfile(realize(two_point, -140, 50, seed=7))
+        with pytest.raises(WindowTooSmallError):
+            read(profile)
 
     def test_arrays_are_read_only(self, two_point):
         profile = MomentProfile(realize(two_point, -140, 50, seed=7))

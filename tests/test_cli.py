@@ -150,6 +150,28 @@ class TestErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,experiment,seeds", [
+        ("clt-hitting", {}, {"master": "abc"}),
+        ("clt-hitting", {}, {"master": 1.5}),
+        ("clt-hitting", {}, {"master": True}),
+        ("clt-hitting", {}, {"walk": 2.5}),
+        ("clt-hitting", {}, {"env": 2.5}),
+        ("clt-hitting", {"ks_threshold": "x"}, {}),
+        ("clt-hitting", {"ks_threshold": True}, {}),
+        ("lln", {"kind": "lln", "lln_rel_tol": "x"}, {}),
+        ("clt-hitting", {"x_grid": ["a", "b"]}, {}),
+        ("clt-hitting", {}, 5),
+    ], ids=["master-str", "master-float", "master-bool", "walk-float", "env-float",
+            "ks_threshold-str", "ks_threshold-bool", "lln_rel_tol-str", "x_grid-str", "seeds-scalar"])
+    def test_bad_types_are_config_errors(self, tmp_path, capsys, command, experiment, seeds):
+        # rejected while the config is read, before any experiment runs
+        base = {"kind": "clt_hitting", "n": 200, "t": 200, "replicas": 100}
+        cfg = write_config(tmp_path / "c.json", {"type": "constant", "p": 0.75},
+                           {**base, **experiment}, seeds)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_numerical_error_exit_code(self, tmp_path):
         # at t = 10 the explicit window for x = -3 reaches left of site 0,
         # outside the centered prefix sums

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betainc, betaincinv, log_expit
 
 from rwre.analytics import summary
 from rwre.environment import (
+    _log_expit,
+    _site_uniforms,
     Constant,
     IidDiscrete,
     IidParametric,
@@ -106,6 +110,21 @@ class TestRealize:
         wide = realize(model, -250, 200, seed=seed)
         narrow = realize(model, min(lo1, k), max(lo1 + span, k), seed=seed)
         assert wide.site(k) == narrow.site(k)
+
+    def test_beta_window_matches_scipy_inverse(self, run_fresh):
+        # scipy is imported only when a beta window is realized; a fresh
+        # interpreter must still map each site uniform through betaincinv
+        code = ("import json, sys\n"
+                "from rwre.environment import IidParametric, realize\n"
+                "model = IidParametric(family='beta', p_lo=0.55, p_hi=0.95, "
+                "params=(('a', 2.0), ('b', 2.0)))\n"
+                "assert not any(m.startswith('scipy') for m in sys.modules)\n"
+                "print(json.dumps([v.hex() for v in realize(model, -40, 300, seed=9).p.tolist()]))")
+        got = [float.fromhex(v) for v in json.loads(run_fresh(code))]
+        a, b = BETA_22.param("a"), BETA_22.param("b")
+        f_lo, f_hi = betainc(a, b, BETA_22.p_lo), betainc(a, b, BETA_22.p_hi)
+        want = betaincinv(a, b, f_lo + _site_uniforms(9, -40, 300) * (f_hi - f_lo))
+        assert got == want.tolist()
 
     def test_parametric_support_respected(self):
         model = IidParametric(family="beta", p_lo=0.6, p_hi=0.85, params=(("a", 2.0), ("b", 3.0)))
@@ -273,6 +292,16 @@ class TestGrowthRate:
             values = [math.log(odds_growth_rate(model, k)) for k in kappas]
             second = [values[i + 1] - 2 * values[i] + values[i - 1] for i in range(1, 8)]
             assert min(second) >= -1e-9, f"log growth rate not convex for {model}"
+
+
+class TestLogExpit:
+    def test_bit_identical_to_scipy(self):
+        # the quadrature weights of every parametric law functional go through it
+        edges = [0.0, 1e-300, 1e-16, 1e-8, 0.5, 1.0, 36.0, 37.0, 709.0, 710.0, 745.0, 800.0]
+        magnitudes = np.concatenate([edges, np.geomspace(1e-300, 800.0, 20_001),
+                                     np.linspace(0.0, 40.0, 40_001)])
+        x = np.concatenate([magnitudes, -magnitudes])
+        assert _log_expit(x).tobytes() == log_expit(x).tobytes()
 
 
 class TestConditions:

@@ -1,5 +1,7 @@
 """Every exported name resolves: each module's ``__all__`` and the package's
-own re-exports, so a deleted function cannot linger in either list."""
+own re-exports, so a deleted function cannot linger in either list.  Importing
+the package or its CLI loads no scipy module: scipy costs more start-up time
+than any short CLI run spends computing."""
 
 import ast
 import importlib
@@ -32,3 +34,10 @@ def test_package_imports_resolve():
     for module, name in imported:
         assert hasattr(importlib.import_module(f"rwre.{module}"), name), (module, name)
         assert hasattr(rwre, name), name
+
+
+@pytest.mark.parametrize("module", ["rwre", "rwre.cli"])
+def test_import_loads_no_scipy(run_fresh, module):
+    loaded = run_fresh(f"import sys, {module}\n"
+                       "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert loaded.strip() == "[]", loaded

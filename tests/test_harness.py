@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from rwre.analytics import reference_crossing_mean, summary
 from rwre.environment import Constant
@@ -62,6 +62,27 @@ class TestKsDistance:
         base = ks_distance(z)
         moved = ks_distance(scale * z + shift, lambda x: normal_cdf((x - shift) / scale))
         assert moved == pytest.approx(base, abs=1e-12)
+
+
+class TestNormalCdf:
+    def test_scalar_gives_float(self):
+        for x in (0.3, np.float64(-1.5), 2, np.array(0.7)):
+            assert type(normal_cdf(x)) is float
+        assert normal_cdf(0.0) == 0.5
+
+    def test_array_gives_float64_of_same_shape(self):
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        phi = normal_cdf(x)
+        assert phi.dtype == np.float64 and phi.shape == (3, 4)
+        assert phi.tolist() == [[normal_cdf(v) for v in row] for row in x.tolist()]
+
+    def test_close_to_ndtr(self):
+        x = np.linspace(-8.0, 8.0, 160_001)
+        assert np.max(np.abs(normal_cdf(x) - ndtr(x))) <= 1e-15
+
+    def test_infinities(self):
+        assert normal_cdf(-math.inf) == 0.0 and normal_cdf(math.inf) == 1.0
+        assert normal_cdf(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
 
 
 class TestConfig:
