@@ -91,9 +91,11 @@ class ExperimentConfig:
     non-negative.  ``diag_c``, ``lln_rel_tol``, ``ks_threshold`` (when set)
     and the ``x_grid`` entries are real numbers, not bools.  Grids must be
     sorted; ``n``, ``t`` and the ``t_grid`` and ``n_grid`` entries are at
-    least 1, the replica count is at least 100, and the diagnostic exponent
-    is positive.  Seeds not given explicitly are derived as children of the
-    master seed.
+    least 1, the replica count is at least 100, the diagnostic exponent is
+    positive, ``ks_threshold`` (when set) lies in (0, 1], ``lln_rel_tol`` is
+    finite and positive and the ``x_grid`` entries are finite, so every
+    verdict depends on the samples.  Seeds not given explicitly are derived
+    as children of the master seed.
     ``max_steps`` caps hitting, LLN and trajectory runs only: X(t) always
     takes exactly t steps.  Every sampler runs in one process, so no field
     sets a worker count.  The law-level constants (``analytics.summary``)
@@ -152,8 +154,14 @@ class ExperimentConfig:
                 raise ConfigError(f"experiment.{name}: grid must be sorted")
             if name != "x_grid" and grid and grid[0] < 1:
                 raise ConfigError(f"experiment.{name}: entries must be >= 1, got {grid[0]}")
+        if not all(math.isfinite(x) for x in self.x_grid):
+            raise ConfigError(f"experiment.x_grid: entries must be finite, got {list(self.x_grid)}")
         if not self.diag_c > 0:
             raise ConfigError(f"experiment.diag_c: must be positive, got {self.diag_c}")
+        if self.ks_threshold is not None and not 0 < self.ks_threshold <= 1:
+            raise ConfigError(f"experiment.ks_threshold: must lie in (0, 1], got {self.ks_threshold}")
+        if not 0 < self.lln_rel_tol < math.inf:
+            raise ConfigError(f"experiment.lln_rel_tol: must be finite and positive, got {self.lln_rel_tol}")
         if self.kind not in (
             "clt_hitting",
             "clt_position",

@@ -21,7 +21,9 @@ unswapped variant matches, and the oracle always builds f from the solved e.
 One banded forward propagation kernel gives the quenched laws of X(t)
 (``position_law``) and of T(n) (``hitting_law``, absorbing at n and
 recording the mass absorbed at each step) in O(steps * band); both laws are
-inverted by the batch samplers in ``walk``.  The Monte Carlo route estimates
+inverted by the batch samplers in ``walk``.  The T(n) law may stop once its
+CDF passes a target (the largest uniform to invert), since no later step
+changes any sample.  The Monte Carlo route estimates
 single-edge crossing moments with standard errors.  Together they
 adjudicate every formula discrepancy flagged upstream.
 """
@@ -198,7 +200,7 @@ TRIM_EVERY = 16
 
 
 def _propagate(window: EnvironmentWindow, z0: int, steps: int, left_guard: int | None = None,
-               right: int | None = None):
+               right: int | None = None, target: float = math.inf):
     """Banded forward propagation of the quenched walk from z0, O(steps * band).
 
     Each step, mass m at x sends ``m p_x`` to x+1 and ``m - m p_x`` to x-1, in
@@ -207,9 +209,11 @@ def _propagate(window: EnvironmentWindow, z0: int, steps: int, left_guard: int |
     TRIM_EVERY steps, and at the end, only the band from the first to the last
     cell of mass >= LAW_EPS is kept; each step adds one cell, so at most
     steps + 1 cells, each below LAW_EPS, are ever dropped.  Stops after
-    ``steps`` steps or once the band is empty.  Returns (start, masses,
-    absorbed at the guard, dropped, hits), hits[s] being the mass absorbed at
-    ``right`` at step s.
+    ``steps`` steps, once the band is empty, or at the first step where the
+    running sum of the hits exceeds ``target``; that sum is accumulated in
+    the order of ``np.cumsum(hits)``, so it equals the hits' CDF bit for bit.
+    Returns (start, masses, absorbed at the guard, dropped, hits), hits[s]
+    being the mass absorbed at ``right`` at step s.
     """
     guard = None if left_guard is None else -left_guard
     left = z0 - steps if guard is None else guard
@@ -222,7 +226,7 @@ def _propagate(window: EnvironmentWindow, z0: int, steps: int, left_guard: int |
     buf = np.zeros(2 * width + TRIM_EVERY + 2)
     buf[0] = 1.0
     a, b, start = 0, 1, z0
-    absorbed = dropped = 0.0
+    absorbed = dropped = total = 0.0
     hits = [0.0]
     for s in range(1, steps + 1):
         if b == buf.size:  # slide the band back to the front of the buffer
@@ -244,6 +248,9 @@ def _propagate(window: EnvironmentWindow, z0: int, steps: int, left_guard: int |
             b -= 1
             hits.append(buf[b])
             buf[b] = 0.0
+            total += hits[-1]
+            if total > target:
+                break
         else:
             hits.append(0.0)
         if s % TRIM_EVERY == 0 or s == steps or a == b:
@@ -263,13 +270,19 @@ def position_law(window: EnvironmentWindow, z0: int, t: int, left_guard: int | N
     return _propagate(window, z0, t, left_guard)[:4]
 
 
-def hitting_law(window: EnvironmentWindow, n: int, left_guard: int, max_steps: int):
+def hitting_law(window: EnvironmentWindow, n: int, left_guard: int, max_steps: int,
+                target: float = math.inf):
     """Quenched law of T(n) from 0, absorbed at -left_guard: (pmf, absorbed,
-    alive, dropped), pmf[s] = P(T(n) = s) for s <= max_steps and ``alive`` the
-    mass still moving after max_steps steps (0 if the band emptied first)."""
+    alive, dropped), pmf[s] = P(T(n) = s) and ``alive`` the mass still in the
+    band when propagation stopped (0 if the band emptied first).
+
+    Propagation stops after max_steps steps, or at the first step s where
+    ``np.cumsum(pmf)[s]`` exceeds ``target``: then pmf is a bit-identical
+    prefix of the full law, enough to invert every uniform up to ``target``.
+    With no target it is the full law."""
     if n < 1:
         raise ModelError(f"hitting_law: n must be >= 1, got {n}")
-    _, masses, absorbed, dropped, pmf = _propagate(window, 0, max_steps, left_guard, n)
+    _, masses, absorbed, dropped, pmf = _propagate(window, 0, max_steps, left_guard, n, target)
     return pmf, absorbed, float(masses.sum()), dropped
 
 

@@ -9,7 +9,9 @@ Batched engines sample by inversion: the exact quenched law of T(n) or X(t)
 comes once per window from the propagation kernel in ``oracle``, and each
 replica inverts its CDF with one uniform.  Replicas draw in full-width chunks
 of 1024, chunk c on the generator spawned with key (c,), so every replica's
-result is a pure function of (master seed, replica index).
+result is a pure function of (master seed, replica index).  The CDF lists the
+law's cells first, then the guard and step-cap masses, so the T(n) law is
+propagated only until its CDF passes the largest uniform.
 
 Guard breaches are hard errors, never silent reflections: reflecting at a
 boundary would bias crossing times.  The batched engines raise the guard and
@@ -238,18 +240,24 @@ def first_passage_index(observation: WalkObservation, t: float) -> int:
 # chunked batch engines
 
 
-def _invert_law(masses, absorbed, alive, master_seed, n_replicas, left_guard) -> np.ndarray:
-    """Each replica's cell of a law by inverting its CDF, laid out as the mass
-    absorbed at -left_guard, then ``masses``, then the mass ``alive`` at the
-    step cap.  Chunk c draws REPLICA_CHUNK uniforms from the generator spawned
-    with key (c,).  A uniform of a full-width chunk in the absorbed mass, or
-    at or above the last cell's CDF while mass is alive, raises."""
+def _uniforms(master_seed, n_replicas) -> np.ndarray:
+    """The uniforms of every full-width chunk: chunk c draws REPLICA_CHUNK
+    from the generator spawned with key (c,)."""
     chunks = np.random.SeedSequence(master_seed).spawn(-(-n_replicas // REPLICA_CHUNK))
-    u = np.concatenate([np.random.default_rng(seq).random(REPLICA_CHUNK) for seq in chunks])
-    if not masses.size or u.min() < absorbed:
+    return np.concatenate([np.random.default_rng(seq).random(REPLICA_CHUNK) for seq in chunks])
+
+
+def _invert_law(masses, absorbed, alive, u, n_replicas, left_guard) -> np.ndarray:
+    """Each replica's cell of a law by inverting its CDF with its uniform of
+    ``u``, laid out as ``masses``, then the mass absorbed at -left_guard, then
+    the mass ``alive`` when the law stopped.  A uniform of a full-width chunk
+    in the absorbed mass, or beyond it while mass is alive, raises (the guard
+    first); one in the dropped mass takes the last cell."""
+    cdf = np.cumsum(masses)
+    beyond = u[u >= cdf[-1]] if masses.size else u
+    if not masses.size or (beyond < cdf[-1] + absorbed).any():
         raise LeftGuardBreachError(f"a walker reached the left guard {-left_guard}; enlarge the guard")
-    cdf = absorbed + np.cumsum(masses)
-    if alive > 0.0 and u.max() >= cdf[-1]:
+    if alive > 0.0 and beyond.size:
         raise StepBudgetExceededError(f"a walker was still running after max_steps={masses.size - 1}")
     return np.minimum(np.searchsorted(cdf, u[:n_replicas], side="right"), masses.size - 1)
 
@@ -265,10 +273,14 @@ def batch_hitting_times(
 
     The law of T(n) from 0, absorbed at -left_guard and cut at max_steps, is
     computed once (``oracle.hitting_law``), and each replica inverts its CDF
-    with its own uniform: T(n) is the step of its cell.
+    with its own uniform: T(n) is the step of its cell.  The uniforms are
+    drawn first, and the law is propagated only until its CDF passes the
+    largest of them.
     """
-    pmf, absorbed, alive, _ = hitting_law(window, n, budget.left_guard, budget.max_steps)
-    return _invert_law(pmf, absorbed, alive, master_seed, n_replicas, budget.left_guard)
+    u = _uniforms(master_seed, n_replicas)
+    pmf, absorbed, alive, _ = hitting_law(window, n, budget.left_guard, budget.max_steps,
+                                          target=float(u.max()))
+    return _invert_law(pmf, absorbed, alive, u, n_replicas, budget.left_guard)
 
 
 def batch_positions(
@@ -287,7 +299,8 @@ def batch_positions(
     if left_guard < 1:
         raise ModelError(f"left_guard: must be >= 1, got {left_guard}")
     start, masses, absorbed, _ = position_law(window, 0, t_steps, left_guard)
-    return start + 2 * _invert_law(masses, absorbed, 0.0, master_seed, n_replicas, left_guard)
+    u = _uniforms(master_seed, n_replicas)
+    return start + 2 * _invert_law(masses, absorbed, 0.0, u, n_replicas, left_guard)
 
 
 def default_max_steps(n_or_t: int, mu_hint: float) -> int:

@@ -161,10 +161,23 @@ class TestErrors:
         ("lln", {"kind": "lln", "lln_rel_tol": "x"}, {}),
         ("clt-hitting", {"x_grid": ["a", "b"]}, {}),
         ("clt-hitting", {}, 5),
+        ("clt-hitting", {"ks_threshold": float("nan")}, {}),
+        ("clt-hitting", {"ks_threshold": 0.0}, {}),
+        ("clt-hitting", {"ks_threshold": 1.5}, {}),
+        ("lln", {"kind": "lln", "lln_rel_tol": -1}, {}),
+        ("lln", {"kind": "lln", "lln_rel_tol": 0.0}, {}),
+        ("lln", {"kind": "lln", "lln_rel_tol": float("nan")}, {}),
+        ("lln", {"kind": "lln", "lln_rel_tol": float("inf")}, {}),
+        ("clt-hitting", {"x_grid": [0.0, float("nan")]}, {}),
+        ("clt-hitting", {"x_grid": [0.0, float("inf")]}, {}),
     ], ids=["master-str", "master-float", "master-bool", "walk-float", "env-float",
-            "ks_threshold-str", "ks_threshold-bool", "lln_rel_tol-str", "x_grid-str", "seeds-scalar"])
+            "ks_threshold-str", "ks_threshold-bool", "lln_rel_tol-str", "x_grid-str", "seeds-scalar",
+            "ks_threshold-nan", "ks_threshold-zero", "ks_threshold-above-1", "lln_rel_tol-negative",
+            "lln_rel_tol-zero", "lln_rel_tol-nan", "lln_rel_tol-inf", "x_grid-nan", "x_grid-inf"])
     def test_bad_types_are_config_errors(self, tmp_path, capsys, command, experiment, seeds):
-        # rejected while the config is read, before any experiment runs
+        # rejected while the config is read, before any experiment runs; so is
+        # a threshold or grid point that makes the verdict or a cdf_errors row
+        # independent of the samples
         base = {"kind": "clt_hitting", "n": 200, "t": 200, "replicas": 100}
         cfg = write_config(tmp_path / "c.json", {"type": "constant", "p": 0.75},
                            {**base, **experiment}, seeds)

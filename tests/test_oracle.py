@@ -305,6 +305,20 @@ class TestHittingLaw:
         assert mean == pytest.approx(profile.hitting_centering(n), rel=1e-12)
         assert var == pytest.approx(float(profile.sigma2_array(n).sum()), rel=1e-12)
 
+    @pytest.mark.parametrize("law", sorted(HITTING_LAWS))
+    def test_target_stops_at_a_prefix(self, law):
+        # propagation stops at the first step whose CDF exceeds the target,
+        # and every step before it is the full law's, bit for bit
+        n = 1000
+        w, guard = self._window(HITTING_LAWS[law], n)
+        full, _, _, _ = hitting_law(w, n, guard, 10**6)
+        for target in (0.25, 0.9, 1.0 - 1e-6):
+            pmf, absorbed, alive, dropped = hitting_law(w, n, guard, 10**6, target=target)
+            cdf = np.cumsum(pmf)
+            assert pmf.size < full.size and np.array_equal(pmf, full[: pmf.size])
+            assert cdf[-2] <= target < cdf[-1]
+            assert alive > 0.0 and abs(pmf.sum() + absorbed + alive + dropped - 1.0) <= 1e-12
+
     def test_against_brute_force_with_step_cap(self):
         n, guard, cap = 40, 12, 400
         w = realize(SLOW, -guard, n, seed=3)

@@ -22,12 +22,14 @@ from rwre.errors import (
     StepBudgetExceededError,
     WindowTooSmallError,
 )
+from rwre.oracle import hitting_law
 from rwre.walk import (
     _BUF,
     REPLICA_CHUNK,
     SimulationBudget,
     WalkObservation,
     _simulate,
+    _uniforms,
     batch_hitting_times,
     batch_positions,
     first_passage_index,
@@ -487,6 +489,55 @@ class TestBatchEngines:
         assert batch_hitting_times(window_75, 50, 1, 200, budget).max() <= t_max
         with pytest.raises(StepBudgetExceededError):
             batch_hitting_times(window_75, 50, 1, 200, SimulationBudget(left_guard=80, max_steps=t_max - 1))
+
+
+    def test_batch_guard_checked_before_step_cap(self, window_75):
+        # with the guard at -1 and the cap at 80, the chunk's uniforms fall
+        # in the law, in the guard mass and beyond it (alive at the cap)
+        n, guard, cap = 50, 1, 80
+        pmf, absorbed, alive, _ = hitting_law(window_75, n, guard, cap)
+        end = np.cumsum(pmf)[-1]
+        u = _uniforms(1, 200)
+        assert alive > 0.0 and np.any(u < end)
+        assert np.any((u >= end) & (u < end + absorbed)) and np.any(u >= end + absorbed)
+        with pytest.raises(LeftGuardBreachError):
+            batch_hitting_times(window_75, n, 1, 200, SimulationBudget(left_guard=guard, max_steps=cap))
+
+
+def _law_window(name, n, seed):
+    model = PARITY_LAWS[name]
+    guard = suggested_left_guard(model)
+    return realize(model, -max(guard + 2, suggested_burn_in(model)), n + 1, seed=seed), guard
+
+
+class TestStoppedHittingLaw:
+    """``batch_hitting_times`` propagates the law of T(n) only until its CDF
+    passes the largest uniform; every sample stays the full law's."""
+
+    @pytest.mark.parametrize("name, n", [("two-point", 500), ("slow", 400)])
+    def test_equals_full_law_inversion(self, name, n):
+        w, guard = _law_window(name, n, seed=11)
+        budget = SimulationBudget(left_guard=guard, max_steps=10**7)
+        pmf, absorbed, alive, _ = hitting_law(w, n, guard, budget.max_steps)
+        cdf = np.cumsum(pmf)  # the law's cells come first in the inverted CDF
+        r = 2 * REPLICA_CHUNK + 300
+        for seed in (1, 2, 3, 4):
+            u = np.concatenate([
+                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,))).random(REPLICA_CHUNK)
+                for c in range(3)
+            ])
+            assert u.max() < cdf[-1]
+            expected = np.searchsorted(cdf, u[:r], side="right")
+            assert np.array_equal(batch_hitting_times(w, n, seed, r, budget), expected)
+
+    def test_saves_most_steps_on_slow_law(self):
+        # at n = 2000 and R = 5000 the uniforms are resolved long before
+        # every cell of the slow law's T(n) falls below LAW_EPS
+        n = 2000
+        w, guard = _law_window("slow", n, seed=5)
+        full, _, _, _ = hitting_law(w, n, guard, 10**7)
+        stopped, _, _, _ = hitting_law(w, n, guard, 10**7, target=float(_uniforms(7, 5000).max()))
+        assert stopped.size - 1 < (full.size - 1) / 2
 
 
 class TestHittingSamplerEquivalence:
