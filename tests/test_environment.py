@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc, betaincinv, log_expit
 
+from rwre import environment
 from rwre.analytics import summary
 from rwre.environment import (
     _log_expit,
@@ -69,6 +71,82 @@ def beta_quad(model, g):
         return quad(f, model.p_lo, model.p_hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
     return integral(lambda p: g(p) * density(p)) / integral(density)
+
+
+def reference_realize(model, lo, hi, seed):
+    """The site values by the allocating formulas that ``realize`` first used:
+    a fresh array per hash step, ``searchsorted`` on the cumulative weights and
+    one new array per harmonic."""
+
+    def mix64(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    with np.errstate(over="ignore"):
+        k = np.arange(lo, hi + 1, dtype=np.int64).view(np.uint64)
+        state = mix64(np.asarray(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64) + golden) + k * golden
+        u = (mix64(state) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    if isinstance(model, IidDiscrete):
+        values = np.array([a for a, _ in model.atoms])
+        weights = np.array([w for _, w in model.atoms])
+        return values[np.searchsorted(np.cumsum(weights / weights.sum()), u, side="right")]
+    if isinstance(model, IidParametric):
+        return model.p_lo + u * (model.p_hi - model.p_lo)
+    omega = np.mod(model.omega0 + np.arange(lo, hi + 1, dtype=np.float64) * model.alpha, 1.0)
+    out = np.full_like(omega, model.coeffs[0])
+    for m, c in enumerate(model.coeffs[1:], start=1):
+        out = out + c * np.cos(2.0 * np.pi * m * omega)
+    return out
+
+
+TEN_ATOMS = IidDiscrete(atoms=tuple((0.5 + 0.04 * i, 0.1) for i in range(10)))
+REALIZE_LAWS = {
+    "one atom": IidDiscrete(atoms=((0.7, 1.0),)),
+    "two atoms": IidDiscrete(atoms=((0.8, 0.5), (0.6, 0.5))),
+    "three atoms": IidDiscrete(atoms=((0.9, 0.2), (0.6, 0.3), (0.45, 0.5))),
+    "ten atoms": TEN_ATOMS,  # weights whose cumulative sum ends below 1
+    "uniform": IidParametric(family="uniform", p_lo=0.55, p_hi=0.9),
+    "one coefficient": QuasiPeriodic(alpha=(math.sqrt(5.0) - 1.0) / 2.0, omega0=0.0, coeffs=(0.7,)),
+    "golden": QuasiPeriodic(alpha=(math.sqrt(5.0) - 1.0) / 2.0, omega0=0.0, coeffs=(0.7, 0.1)),
+    "three coefficients": QuasiPeriodic(alpha=(math.sqrt(5.0) - 1.0) / 2.0, omega0=0.3,
+                                        coeffs=(0.6, 0.1, 0.05)),
+}
+
+
+class TestRealizeInPlace:
+    @pytest.mark.parametrize("name", sorted(REALIZE_LAWS))
+    def test_matches_allocating_formulas(self, name):
+        model = REALIZE_LAWS[name]
+        for lo, hi, seed in ((-3000, 5000, 7), (-1, 0, 2**64 - 1), (0, 0, 0)):
+            want = reference_realize(model, lo, hi, seed)
+            assert realize(model, lo, hi, seed).p.tobytes() == want.tobytes()
+
+    def test_cumulative_weights_below_one_take_last_atom(self, monkeypatch):
+        cum = np.cumsum(np.full(10, 0.1) / np.full(10, 0.1).sum())
+        assert cum[-1] < 1.0  # searchsorted would index past the ten atoms
+        u = np.array([0.0, 0.0999, cum[-1], np.nextafter(1.0, 0.0)])
+        monkeypatch.setattr(environment, "_site_uniforms", lambda seed, lo, hi: u.copy())
+        got = realize(TEN_ATOMS, 0, 3, seed=0).p
+        assert got.tolist() == [0.5, 0.5, TEN_ATOMS.atoms[-1][0], TEN_ATOMS.atoms[-1][0]]
+
+    def test_scalar_phase_gives_float(self, golden_qp):
+        value = golden_qp.p_of_phase(0.25)
+        assert isinstance(value, float)
+        assert value == golden_qp.p_of_phase(np.array([0.25]))[0]
+
+    @pytest.mark.parametrize("name, bound", [("two atoms", 2.5), ("golden", 3.5)])
+    def test_peak_memory(self, name, bound):
+        model = REALIZE_LAWS[name]
+        realize(model, -10, 10, seed=1)  # warm any lazily built state
+        tracemalloc.start()
+        try:
+            window = realize(model, -200_000, 799_999, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * window.p.nbytes
 
 
 class TestRealize:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from rwre.errors import (
 )
 from rwre.harness import (
     ExperimentConfig,
+    _median,
     clt_hitting,
     clt_position,
     coupling_identity_check,
@@ -219,6 +221,29 @@ class TestVarianceRatio:
 
 
 class TestDiagnostics:
+    @pytest.mark.parametrize("replicates", [1, 2, 3, 4, 5])
+    def test_median_bit_identical_to_numpy(self, replicates):
+        rng = np.random.default_rng(replicates)
+        a = rng.standard_normal((replicates, 3, 4)) * np.logspace(-8, 8, 4)
+        a[replicates // 2, 1, 2] = np.nan  # that column's median is NaN
+        got, want = _median(a), np.median(a, axis=0)
+        assert np.isnan(got[1, 2])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert _median(a[:, 0]).tobytes() == np.median(a[:, 0], axis=0).tobytes()
+
+    def test_diagnostics_run_loads_no_masked_arrays(self, run_fresh, tmp_path):
+        # np.median imports numpy.ma for its NaN check on its first call
+        config = tmp_path / "diag.json"
+        config.write_text(json.dumps({
+            "model": {"type": "iid_discrete", "atoms": [[0.8, 0.5], [0.6, 0.5]]},
+            "experiment": {"kind": "diagnostics", "env_replicates": 4, "t_grid": [100, 1000],
+                           "n_grid": [10, 100], "x_grid": [0.0, 1.0]}}))
+        loaded = run_fresh("import sys\nfrom rwre.cli import main\n"
+                           f"code = main(['diagnostics', '--config', {str(config)!r}, "
+                           f"'--out', {str(tmp_path / 'out')!r}])\n"
+                           "print(code, 'numpy.ma' in sys.modules)")
+        assert loaded.split() == ["0", "False"]
+
     def test_constant_all_zero(self):
         cfg = ExperimentConfig(
             model=Constant(0.75), kind="diagnostics", replicas=100,

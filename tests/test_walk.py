@@ -256,6 +256,13 @@ def run_both(window, z0, seed, **kw):
     return ref
 
 
+def edge_free_block(window, path, t0, left_guard):
+    """Whether the full block of steps t0+1 .. t0+_BUF is edge-free: from X(t0)
+    it can reach neither the left guard nor the right window end."""
+    x0 = int(path[t0])
+    return x0 - _BUF > -left_guard and x0 + _BUF < window.hi
+
+
 def block_boundary_goal(window):
     """(seed, n) whose trajectory first reaches n at step exactly _BUF."""
     for seed in range(100):
@@ -277,6 +284,25 @@ class TestBlockEngine:
                            n_stop=40, record_path=True)
             assert len(ref.path) == 45_001
             run_both(window, 3, seed, left_guard=300, max_steps=200_000, n_stop=2000)
+        if name == "wide":
+            return  # zero speed: no walk gets a block away from the guard in time
+        # walks that cross from blocks that can reach an edge into edge-free ones
+        far = realize(PARITY_LAWS[name], -400, 200_000, seed=6)
+        kw = dict(left_guard=300, max_steps=10**7, record_path=True)
+        # from within one block of the guard to a goal met in an edge-free block
+        ref = run_both(far, -250, 6, n_stop=60_000, **kw)
+        t_hit = int(ref.hit[-1])
+        assert t_hit > 5 * _BUF and edge_free_block(far, ref.path, (t_hit - 1) // _BUF * _BUF, 300)
+        # a goal met exactly at the end of an edge-free block
+        m = next(m for m, t in enumerate(ref.hit.tolist())
+                 if t and t % _BUF == 0 and edge_free_block(far, ref.path, t - _BUF, 300))
+        ref = run_both(far, -250, 6, n_stop=-250 + m, **kw)
+        assert int(ref.hit[-1]) % _BUF == 0
+        # the last snapshot inside an edge-free block, long after the goal was met
+        t_need = 10 * _BUF + 777
+        ref = run_both(far, 0, 2, n_stop=100, snap_times=[t_need], **kw)
+        assert ref.hit[100] < _BUF and ref.snapshots[-1][0] == t_need
+        assert edge_free_block(far, ref.path, 10 * _BUF, 300)
 
     def test_left_guard_breach(self):
         # transient left: the walker reaches the guard before +40; in the second
