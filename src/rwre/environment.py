@@ -356,9 +356,7 @@ def realize(model: EnvironmentModel, lo: int, hi: int, seed: int) -> Environment
         values = np.array([a for a, _ in model.atoms])
         weights = np.array([w for _, w in model.atoms])
         cum = np.cumsum(weights / weights.sum())
-        atom = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum)))
-        for c in cum[:-1]:
-            atom += u >= c
+        atom = np.searchsorted(cum[:-1], u, side="right")
         del u  # before the output is allocated
         p = values[atom]
     elif isinstance(model, IidParametric):

@@ -4,12 +4,9 @@ Single-replica trajectories record their first-passage times and snapshots,
 and optionally the full path, one uniform per step from blocks of 16384.  Only a
 uniform between the least and greatest p the walker can reach needs its
 position; numpy takes the rest, so a trajectory, its errors and the generator
-state after it are bit for bit those of the step-by-step loop.  A block of n
-steps is edge-free when the walker is more than n sites from both the left
-guard and the right window end: no step of it can reach either, so its open
-uniforms are resolved with no bounds check and it ends at the first step at the
-goal (not before the last snapshot time), found by binary search on the running
-record.  Other blocks check every step for the guard and the edge.
+state after it are bit for bit those of the step-by-step loop.  The moves of
+the open uniforms are gathered as bytes, and a block's steps and running record
+are built in place.
 Batched engines sample by inversion: the exact quenched law of T(n) or X(t)
 comes once per window from the propagation kernel in ``oracle``, and each
 replica inverts its CDF with one uniform.  Replicas draw in full-width chunks
@@ -136,49 +133,26 @@ def _simulate(
         dx[open_] = 0
         moves = bytearray()  # +1 or -1 as int8 bytes
         shift = 0
-        opens = zip((np.cumsum(dx)[open_] + (x - lo)).tolist(), u[open_].tolist())
-        # edge-free: no step of the block can reach the guard or the right edge
-        edge_free = x - n > -left_guard and x + n < hi
-        if edge_free:
-            for i, v in opens:
-                if v < sites[i + shift]:
-                    moves.append(1)
-                    shift += 1
-                else:
-                    moves.append(255)
-                    shift -= 1
-        else:
-            for i, v in opens:
-                i += shift
-                if i <= 0 or i >= hi - lo:
-                    break  # the walk has ended before any step that starts outside (lo, hi)
-                if v < sites[i]:
-                    moves.append(1)
-                    shift += 1
-                else:
-                    moves.append(255)
-                    shift -= 1
+        for i, v in zip((np.cumsum(dx)[open_] + (x - lo)).tolist(), u[open_].tolist()):
+            i += shift
+            if i <= 0 or i >= hi - lo:
+                break  # the walk has ended before any step that starts outside (lo, hi)
+            if v < sites[i]:
+                moves.append(1)
+                shift += 1
+            else:
+                moves.append(255)
+                shift -= 1
         dx[open_[: len(moves)]] = np.frombuffer(moves, dtype=np.int8)
         xs = np.cumsum(dx)
         xs += x
         record = np.maximum.accumulate(xs)
         np.maximum(record, best, out=record)
-        if edge_free:
-            # the record is nondecreasing: the walk ends at its first step at
-            # the goal, but not before the last snapshot time
-            k = min(max(int(record.searchsorted(goal)), t_need - t - 1) + 1, n)
-        else:
-            done = record >= goal
-            done[: max(t_need - t - 1, 0)] = False
-            left = xs <= -left_guard
-            ends = left | done | (xs >= hi)
-            k = int(ends.argmax()) + 1 if ends.any() else n  # steps taken
-            if left[k - 1]:
-                raise LeftGuardBreachError(
-                    f"walker reached left guard {-left_guard} at step {t + k}; enlarge the guard"
-                )
-            if ends[k - 1] and not done[k - 1]:
-                raise RightGuardBreachError(f"walker reached right window edge {hi} at step {t + k}")
+        done = record >= goal
+        done[: max(t_need - t - 1, 0)] = False
+        left = xs <= -left_guard
+        ends = left | done | (xs >= hi)
+        k = int(ends.argmax()) + 1 if ends.any() else n  # steps taken
         fp.append(t + 1 + np.flatnonzero(np.diff(record[:k], prepend=best)))
         if record_path:
             path.append(xs[:k])
@@ -186,6 +160,12 @@ def _simulate(
             snaps.append((snap_times[si], int(xs[snap_times[si] - t - 1])))
             si += 1
         t += k
+        if left[k - 1]:
+            raise LeftGuardBreachError(
+                f"walker reached left guard {-left_guard} at step {t}; enlarge the guard"
+            )
+        if ends[k - 1] and not done[k - 1]:
+            raise RightGuardBreachError(f"walker reached right window edge {hi} at step {t}")
         x = int(xs[k - 1])
         best = int(record[k - 1])
     hit = np.concatenate(fp)

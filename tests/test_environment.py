@@ -107,6 +107,7 @@ REALIZE_LAWS = {
     "two atoms": IidDiscrete(atoms=((0.8, 0.5), (0.6, 0.5))),
     "three atoms": IidDiscrete(atoms=((0.9, 0.2), (0.6, 0.3), (0.45, 0.5))),
     "ten atoms": TEN_ATOMS,  # weights whose cumulative sum ends below 1
+    "three hundred atoms": IidDiscrete(atoms=tuple((0.5 + 0.001 * i, 1.0 / 300) for i in range(300))),
     "uniform": IidParametric(family="uniform", p_lo=0.55, p_hi=0.9),
     "one coefficient": QuasiPeriodic(alpha=(math.sqrt(5.0) - 1.0) / 2.0, omega0=0.0, coeffs=(0.7,)),
     "golden": QuasiPeriodic(alpha=(math.sqrt(5.0) - 1.0) / 2.0, omega0=0.0, coeffs=(0.7, 0.1)),
@@ -136,7 +137,9 @@ class TestRealizeInPlace:
         assert isinstance(value, float)
         assert value == golden_qp.p_of_phase(np.array([0.25]))[0]
 
-    @pytest.mark.parametrize("name, bound", [("two atoms", 2.5), ("golden", 3.5)])
+    @pytest.mark.parametrize(
+        "name, bound", [("two atoms", 2.5), ("three hundred atoms", 2.5), ("golden", 3.5)]
+    )
     def test_peak_memory(self, name, bound):
         model = REALIZE_LAWS[name]
         realize(model, -10, 10, seed=1)  # warm any lazily built state

@@ -258,7 +258,8 @@ def run_both(window, z0, seed, **kw):
 
 def edge_free_block(window, path, t0, left_guard):
     """Whether the full block of steps t0+1 .. t0+_BUF is edge-free: from X(t0)
-    it can reach neither the left guard nor the right window end."""
+    none of its steps can reach the left guard or the right window end, so only
+    the goal and the snapshot times can end it."""
     x0 = int(path[t0])
     return x0 - _BUF > -left_guard and x0 + _BUF < window.hi
 
