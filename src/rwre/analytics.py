@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -383,10 +383,10 @@ class SummaryStatistics:
 
     ``mu`` is the mean crossing time, ``sigma2`` the mean quenched crossing
     variance, and ``sigma_star`` the position-fluctuation scale with
-    sigma_star^2 = mu^-3 sigma2 (recomputed from the stored values, so the
-    identity holds exactly).  All are exact law constants, and ``method``
-    says how mu and sigma2 were computed: "closed-form" for i.i.d.-type
-    laws, "circle-average" for quasi-periodic ones.  The two closed-form
+    sigma_star^2 = mu^-3 sigma2 (computed from the stored values, never
+    passed in, so the identity holds exactly).  All are exact law constants,
+    and ``method`` says how mu and sigma2 were computed: "closed-form" for
+    i.i.d.-type laws, "circle-average" for quasi-periodic ones.  The two closed-form
     variance fields carry the algebraic variants evaluated for i.i.d.-type
     laws: the variants disagree (one has a factor 1+r1, the other 1+r1^2)
     and only the former matches the independent oracles, so ``sigma2``
@@ -400,7 +400,7 @@ class SummaryStatistics:
     mu: float
     method: str
     sigma2: float
-    sigma_star: float
+    sigma_star: float = field(init=False)
     sigma2_closed_form: float | None = None
     sigma2_closed_form_printed: float | None = None
     closed_form_mismatch: bool | None = None
@@ -505,7 +505,6 @@ def summary(model: EnvironmentModel) -> SummaryStatistics:
         mu=mu,
         method=method,
         sigma2=sigma2,
-        sigma_star=0.0,  # recomputed in __post_init__
         sigma2_closed_form=closed,
         sigma2_closed_form_printed=closed_printed,
         closed_form_mismatch=mismatch,

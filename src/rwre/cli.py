@@ -7,7 +7,8 @@ output digests), report.json (no timing, byte-stable across reruns), and for
 sampling experiments samples.csv and cdf.csv.
 
 Exit codes: 0 success, 2 configuration error, 3 eligibility error,
-4 numerical non-convergence, 5 guard breach or step budget.
+4 numerical non-convergence, 5 guard breach or step budget; each error class
+in ``rwre.errors`` carries its code and the label printed to stderr.
 """
 
 from __future__ import annotations
@@ -35,25 +36,8 @@ from .environment import (
     realize,
     suggested_burn_in,
 )
-from .errors import (
-    ConfigError,
-    GuardBreachError,
-    IndexRangeError,
-    ModelError,
-    NonSummableError,
-    NotCltEligibleError,
-    QuadratureError,
-    RwreError,
-    StepBudgetExceededError,
-    WindowTooSmallError,
-)
+from .errors import ConfigError, NotCltEligibleError, RwreError
 from .harness import ExperimentConfig
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_ELIGIBILITY = 3
-EXIT_NUMERICAL = 4
-EXIT_GUARD = 5
 
 DEFAULT_SEED = 0xC0FFEE
 # settable in config.experiment: every ExperimentConfig field but the model
@@ -163,10 +147,10 @@ def _write_samples(path: Path, raw: np.ndarray, standardized: np.ndarray) -> Non
             fh.write(f"{i},{v},{z!r}\n")
 
 
-def _write_cdf(path: Path, standardized: np.ndarray) -> None:
-    zs = np.sort(standardized)
+def _write_cdf(path: Path, zs: np.ndarray, phi: np.ndarray) -> None:
+    """One row per order statistic: the sorted standardized sample and its Phi,
+    both as the report carries them; ecdf is i/m."""
     m = len(zs)
-    phi = harness.normal_cdf(zs)
     with open(path, "w", newline="\n") as fh:
         fh.write("x,ecdf,phi,diff\n")
         for i, (z, f) in enumerate(zip(zs.tolist(), phi.tolist()), start=1):
@@ -217,7 +201,7 @@ def _run_sampling(config: ExperimentConfig, kind: str, out: Path) -> dict:
         report = harness.clt_hitting(config)
     payload = _experiment_report_dict(report)
     _write_samples(out / "samples.csv", report.raw_samples, report.standardized)
-    _write_cdf(out / "cdf.csv", report.standardized)
+    _write_cdf(out / "cdf.csv", report.sorted_standardized, report.sorted_phi)
     return payload
 
 
@@ -359,7 +343,7 @@ def _run(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     command = args.command
-    exit_code = EXIT_OK
+    exit_code = 0
     if command == "simulate":
         kind = config.kind if config.kind in ("clt_hitting", "clt_position") else "clt_hitting"
         payload = _run_sampling(config, kind, out)
@@ -377,7 +361,7 @@ def _run(args) -> int:
     elif command == "oracle-check":
         payload = _oracle_check_report(config)
         if not payload["eligible"]:
-            exit_code = EXIT_ELIGIBILITY
+            exit_code = NotCltEligibleError.exit_code
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown command {command!r}")
     _write_json(out / "report.json", payload)
@@ -403,26 +387,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, ModelError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NotCltEligibleError as exc:
-        print(f"eligibility error: {exc}", file=sys.stderr)
-        return EXIT_ELIGIBILITY
-    except (
-        NonSummableError,
-        WindowTooSmallError,
-        QuadratureError,
-        IndexRangeError,
-    ) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (GuardBreachError, StepBudgetExceededError) as exc:
-        print(f"simulation guard error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except RwreError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except RwreError as exc:  # each error class carries its label and exit code
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

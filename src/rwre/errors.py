@@ -1,8 +1,11 @@
 """Exception hierarchy shared by every module.
 
-Each class maps to one failure regime so the CLI can assign stable exit
-codes: configuration problems, statistical ineligibility, numerical
-non-convergence, and simulation guard breaches.
+Each class maps to one failure regime and carries its CLI exit code and
+the label the CLI prints before the message: configuration problems (2,
+"configuration error"), statistical ineligibility (3, "eligibility
+error"), numerical non-convergence (4, "numerical error"), and simulation
+guard breaches and step budgets (5, "simulation guard error").  Any other
+package error exits 1 with "error".
 """
 
 from __future__ import annotations
@@ -11,9 +14,15 @@ from __future__ import annotations
 class RwreError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+    label = "error"
+
 
 class ModelError(RwreError):
-    """A model or configuration value is malformed (exit-code class: config)."""
+    """A model or configuration value is malformed."""
+
+    exit_code = 2
+    label = "configuration error"
 
 
 class ConfigError(ModelError):
@@ -23,25 +32,38 @@ class ConfigError(ModelError):
 class NotCltEligibleError(RwreError):
     """The environment law does not satisfy the CLT eligibility conditions."""
 
+    exit_code = 3
+    label = "eligibility error"
 
-class NonSummableError(RwreError):
+
+class NumericalError(RwreError):
+    """A computation did not converge or left its index range."""
+
+    exit_code = 4
+    label = "numerical error"
+
+
+class NonSummableError(NumericalError):
     """A site series does not converge (non-negative drift)."""
 
 
-class WindowTooSmallError(RwreError):
+class WindowTooSmallError(NumericalError):
     """The realized window does not extend far enough for the computation."""
 
 
-class QuadratureError(RwreError):
+class QuadratureError(NumericalError):
     """A law-functional quadrature failed to converge."""
 
 
-class IndexRangeError(RwreError):
+class IndexRangeError(NumericalError):
     """A summation range falls outside the available indices."""
 
 
 class GuardBreachError(RwreError):
     """A walker reached a simulation guard boundary."""
+
+    exit_code = 5
+    label = "simulation guard error"
 
 
 class LeftGuardBreachError(GuardBreachError):
@@ -54,3 +76,6 @@ class RightGuardBreachError(GuardBreachError):
 
 class StepBudgetExceededError(RwreError):
     """A trajectory exhausted its step budget before meeting its goal."""
+
+    exit_code = 5
+    label = "simulation guard error"

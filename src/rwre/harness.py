@@ -70,15 +70,19 @@ def default_ks_threshold(n_replicas: int) -> float:
     return max(0.03, 3.0 * 1.36 / math.sqrt(n_replicas))
 
 
+def _ks_from_sorted(f: np.ndarray) -> float:
+    """KS distance from ``f``, the reference CDF at each sorted sample value."""
+    m = len(f)
+    i = np.arange(1, m + 1, dtype=np.float64)
+    return float(max(np.max(np.abs(f - i / m)), np.max(np.abs(f - (i - 1.0) / m))))
+
+
 def ks_distance(samples, reference_cdf=normal_cdf) -> float:
     """Sup distance between the sample ECDF and a continuous reference CDF."""
     xs = np.sort(np.asarray(samples, dtype=np.float64))
-    m = len(xs)
-    if m == 0:
+    if len(xs) == 0:
         raise ModelError("ks_distance: empty sample set")
-    f = np.asarray(reference_cdf(xs), dtype=np.float64)
-    i = np.arange(1, m + 1, dtype=np.float64)
-    return float(max(np.max(np.abs(f - i / m)), np.max(np.abs(f - (i - 1.0) / m))))
+    return _ks_from_sorted(np.asarray(reference_cdf(xs), dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,11 @@ def _child_seed(seed: int, key: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Outcome of one CLT experiment: standardized samples and the verdict."""
+    """Outcome of one CLT experiment: standardized samples and the verdict.
+
+    ``sorted_standardized`` and ``sorted_phi`` are the one CDF table of the
+    item: the standardized sample in ascending order and Phi at each value.
+    """
 
     kind: str
     scale: int                       # n for hitting, t for position
@@ -208,6 +216,8 @@ class ExperimentReport:
     verdict: bool
     raw_samples: np.ndarray
     standardized: np.ndarray
+    sorted_standardized: np.ndarray
+    sorted_phi: np.ndarray
     centering_value: float
     scale_value: float               # sqrt(n) sigma or sqrt(t) sigma*
     summary: SummaryStatistics
@@ -223,15 +233,6 @@ class ExperimentReport:
             raise ModelError("report: KS distance must lie in [0, 1]")
         if self.verdict != (self.ks_distance <= self.threshold):
             raise ModelError("report: verdict inconsistent with threshold")
-
-
-def _cdf_errors(z: np.ndarray, x_grid) -> tuple:
-    zs = np.sort(z)
-    out = []
-    for x in x_grid:
-        ecdf = float(np.searchsorted(zs, x, side="right")) / len(zs)
-        out.append((float(x), ecdf, float(normal_cdf(x))))
-    return tuple(out)
 
 
 def _left_guard(config: ExperimentConfig) -> int:
@@ -255,20 +256,22 @@ def _clt_experiment(config: ExperimentConfig, kind: str, scale: int, centering: 
     """Run every environment replicate and report the first one.
 
     ``replicate(env_seed)`` realizes the window and returns (samples,
-    centering value, scale value, window sigma2, window mu); each replicate's
-    KS distance to the standard normal goes into ``ks_distribution``.
+    centering value, scale value, window sigma2, window mu).  The first
+    replicate's standardized sample is sorted and Phi evaluated on it once;
+    that one table gives the KS distance, the ``cdf_errors`` rows and, through
+    the report, ``cdf.csv``.  Every later replicate only adds its KS distance
+    to the standard normal to ``ks_distribution``.
     """
-    ks_list = []
-    primary = None
-    for rep in range(config.env_replicates):
-        env_seed = config.resolved_env_seed(rep)
-        samples, center, scale_value, window_sigma2, window_mu = replicate(env_seed)
-        z = (samples - center) / scale_value
-        ks_list.append(ks_distance(z))
-        if rep == 0:
-            primary = (samples, z, center, scale_value, window_sigma2, window_mu, env_seed)
-    samples, z, center, scale_value, window_sigma2, window_mu, env_seed = primary
-    ks = ks_list[0]
+    env_seed = config.resolved_env_seed()
+    samples, center, scale_value, window_sigma2, window_mu = replicate(env_seed)
+    z = (samples - center) / scale_value
+    zs = np.sort(z)
+    phi = normal_cdf(zs)
+    ks = _ks_from_sorted(phi)
+    ks_list = [ks]
+    for rep in range(1, config.env_replicates):
+        other, other_center, other_scale, _, _ = replicate(config.resolved_env_seed(rep))
+        ks_list.append(ks_distance((other - other_center) / other_scale))
     threshold = config.ks_threshold if config.ks_threshold is not None else default_ks_threshold(config.replicas)
     return ExperimentReport(
         kind=kind,
@@ -280,12 +283,17 @@ def _clt_experiment(config: ExperimentConfig, kind: str, scale: int, centering: 
         verdict=ks <= threshold,
         raw_samples=samples,
         standardized=z,
+        sorted_standardized=zs,
+        sorted_phi=phi,
         centering_value=center,
         scale_value=scale_value,
         summary=summ,
         window_sigma2=window_sigma2,
         window_mu=window_mu,
-        cdf_errors=_cdf_errors(z, config.x_grid),
+        cdf_errors=tuple(
+            (float(x), float(np.searchsorted(zs, x, side="right")) / len(zs), float(normal_cdf(x)))
+            for x in config.x_grid
+        ),
         env_seed=env_seed,
         walk_seed=config.resolved_walk_seed(),
         ks_distribution=tuple(ks_list),
@@ -508,17 +516,9 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
     k_needed = int(t_max / summ.mu + 8.0 * summ.sigma_star * math.sqrt(t_max) * (1 + x_span))
     k_needed = max(k_needed, n_max + int(n_max ** ((1 + c) / 2)) + 2, 256) + 64
 
-    by_seed_explicit = []
-    by_seed_explicit_shift = []
-    by_seed_implicit = []
-    by_seed_range = []
-    by_seed_hstar_sqrt = []
-    by_seed_hstar_n = []
-    by_seed_hscaled = []
-    env_seeds = []
-    for rep in range(config.env_replicates):
-        env_seed = config.resolved_env_seed(rep)
-        env_seeds.append(env_seed)
+    env_seeds = tuple(config.resolved_env_seed(rep) for rep in range(config.env_replicates))
+    rows = []  # one row of the seven statistics per environment replicate
+    for env_seed in env_seeds:
         window = _experiment_window(config, k_needed + 1, env_seed, 8)
         profile = MomentProfile(window)
         centered = profile.mu_array(k_needed) - summ.mu
@@ -536,9 +536,6 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
                 exp_sums[i, j] = signed_range_sum(prefix, z, b_exp + shift) / root_t
                 exp_sums_shift[i, j] = signed_range_sum(prefix, z, b_exp + shift - 1.0) / root_t
                 imp_sums[i, j] = signed_range_sum(prefix, b_imp, b_imp + shift) / root_t
-        by_seed_explicit.append(exp_sums)
-        by_seed_explicit_shift.append(exp_sums_shift)
-        by_seed_implicit.append(imp_sums)
 
         rng_stat = []
         hs_sqrt = []
@@ -553,18 +550,11 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
             hs_sqrt.append(running[n - 1] / math.sqrt(n))
             hs_n.append(running[n - 1] / n)
             h_scaled.append(abs(prefix[n]) / n ** ((1 + c) / 2.0))
-        by_seed_range.append(rng_stat)
-        by_seed_hstar_sqrt.append(hs_sqrt)
-        by_seed_hstar_n.append(hs_n)
-        by_seed_hscaled.append(h_scaled)
+        rows.append((np.abs(exp_sums), np.abs(exp_sums_shift), np.abs(imp_sums),
+                     rng_stat, hs_sqrt, hs_n, h_scaled))
 
-    exp_med = _median(np.abs(np.array(by_seed_explicit)))
-    exp_shift_med = _median(np.abs(np.array(by_seed_explicit_shift)))
-    imp_med = _median(np.abs(np.array(by_seed_implicit)))
-    range_med = _median(np.array(by_seed_range))
-    hstar_sqrt_med = _median(np.array(by_seed_hstar_sqrt))
-    hstar_n_med = _median(np.array(by_seed_hstar_n))
-    hscaled_med = _median(np.array(by_seed_hscaled))
+    (exp_med, exp_shift_med, imp_med, range_med, hstar_sqrt_med, hstar_n_med,
+     hscaled_med) = (_median(np.array(column)) for column in zip(*rows))
 
     decreasing = True
     for j, x in enumerate(x_grid):
@@ -584,7 +574,7 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
         centered_sum_scaled=hscaled_med,
         diag_c=c,
         explicit_decreasing=decreasing,
-        env_seeds=tuple(env_seeds),
+        env_seeds=env_seeds,
     )
 
 

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from rwre import errors, harness
 from rwre.cli import main
 
 
@@ -195,6 +197,31 @@ class TestErrors:
         )
         assert main(["diagnostics", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize("cls,code,label", [
+        (errors.RwreError, 1, "error"),
+        (errors.ModelError, 2, "configuration error"),
+        (errors.ConfigError, 2, "configuration error"),
+        (errors.NotCltEligibleError, 3, "eligibility error"),
+        (errors.NonSummableError, 4, "numerical error"),
+        (errors.WindowTooSmallError, 4, "numerical error"),
+        (errors.QuadratureError, 4, "numerical error"),
+        (errors.IndexRangeError, 4, "numerical error"),
+        (errors.GuardBreachError, 5, "simulation guard error"),
+        (errors.LeftGuardBreachError, 5, "simulation guard error"),
+        (errors.RightGuardBreachError, 5, "simulation guard error"),
+        (errors.StepBudgetExceededError, 5, "simulation guard error"),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_each_error_class_has_its_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                 cls, code, label):
+        def fail(config):
+            raise cls("boom")
+
+        monkeypatch.setattr(harness, "clt_hitting", fail)
+        cfg = write_config(tmp_path / "c.json", {"type": "constant", "p": 0.75},
+                           {"kind": "clt_hitting", "n": 200, "replicas": 100})
+        assert main(["clt-hitting", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"{label}: boom\n"
+
     def test_analyze_reports_overflowing_moments(self, tmp_path):
         cfg = write_config(tmp_path / "tiny.json", {"type": "constant", "p": 1e-120})
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -262,6 +289,39 @@ class TestSubcommands:
         assert report["centering"] == "implicit"
         assert 0.0 <= report["ks_distance"] <= 1.0
         assert report["verdict"] in ("pass", "fail")
+
+    def test_clt_outputs_read_one_table(self, tmp_path):
+        # cdf.csv, ks_distance, cdf_errors and ks_distribution all come from
+        # the first replicate's sorted standardized sample and its Phi
+        x_grid = [-1.5, -0.25, 0.0, 0.5, 2.0]
+        cfg = write_config(
+            tmp_path / "c.json", {"type": "iid_discrete", "atoms": [[0.8, 0.5], [0.6, 0.5]]},
+            {"kind": "clt_position", "t": 400, "replicas": 300, "ks_threshold": 1.0,
+             "env_replicates": 2, "x_grid": x_grid},
+            {"master": 5},
+        )
+        out = tmp_path / "r"
+        assert main(["clt-position", "--config", cfg, "--out", str(out)]) == 0
+        samples = [line.split(",") for line in (out / "samples.csv").read_text().splitlines()[1:]]
+        rows = [[float(v) for v in line.split(",")]
+                for line in (out / "cdf.csv").read_text().splitlines()[1:]]
+        report = json.loads((out / "report.json").read_text())
+        m = len(rows)
+        xs = [row[0] for row in rows]
+        assert xs == sorted(float(s[2]) for s in samples)
+        phi = harness.normal_cdf(np.array(xs))
+        ks = 0.0
+        for i, (x, ecdf, f, diff) in enumerate(rows, start=1):
+            assert f == phi[i - 1]
+            assert ecdf == i / m
+            assert diff == ecdf - f
+            ks = max(ks, abs(i / m - f), abs((i - 1) / m - f))
+        assert report["ks_distance"] == ks
+        assert [row["x"] for row in report["cdf_errors"]] == x_grid
+        for row in report["cdf_errors"]:
+            assert row["ecdf"] == sum(x <= row["x"] for x in xs) / m
+        assert len(report["ks_distribution"]) == 2
+        assert report["ks_distribution"][0] == report["ks_distance"]
 
     def test_analyze_report_schema(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"type": "constant", "p": 0.75})
