@@ -39,6 +39,7 @@ import numpy as np
 
 from .environment import (
     RECURRENCE_TOL,
+    SEED_ATTENUATION_LOG,
     EnvironmentModel,
     EnvironmentWindow,
     QuasiPeriodic,
@@ -69,8 +70,6 @@ __all__ = [
 
 # relative tolerance at which the site series stop
 _SERIES_TOL = 1e-12
-# seed attenuation target for the left-to-right recursions: e^-46 ~ 1e-20
-_BURN_LOG = 46.0
 _MIN_BURN = 32
 # profile block scan: sites per chunk (working arrays ~1 MB) and per block;
 # a run of up to _SCAN_BLOCK sites is one block, i.e. the sequential loop
@@ -191,16 +190,16 @@ def _burn_start(window: EnvironmentWindow, k0: int) -> int:
     """Leftmost seed index s such that recursions seeded at s are accurate at k0.
 
     The seeding error is multiplied by prod_{i=s+1..k0} A_i, so s is chosen
-    where the accumulated log odds drops below -46.  A window that ends first
-    raises: NonSummableError when the local drift is non-negative (the
-    products never decay), WindowTooSmallError otherwise.
+    where the accumulated log odds drops below -SEED_ATTENUATION_LOG.  A
+    window that ends first raises: NonSummableError when the local drift is
+    non-negative (the products never decay), WindowTooSmallError otherwise.
     """
     acc = 0.0
     i = k0
     log_odds = np.log(window.odds_array())
     while i > window.lo:
         acc += log_odds[i - window.lo]
-        if acc <= -_BURN_LOG and k0 - i >= _MIN_BURN:
+        if acc <= -SEED_ATTENUATION_LOG and k0 - i >= _MIN_BURN:
             return i - 1
         i -= 1
     mean = acc / max(k0 - window.lo, 1)
@@ -210,7 +209,7 @@ def _burn_start(window: EnvironmentWindow, k0: int) -> int:
             "crossing-time series diverge"
         )
     raise WindowTooSmallError(
-        f"window [{window.lo}, {window.hi}]: needs roughly {math.ceil(_BURN_LOG / -mean)} "
+        f"window [{window.lo}, {window.hi}]: needs roughly {math.ceil(SEED_ATTENUATION_LOG / -mean)} "
         f"sites left of {k0} to attenuate recursion seeding"
     )
 

@@ -39,7 +39,6 @@ from .environment import (
 from .errors import ConfigError, NotCltEligibleError, RwreError
 from .harness import ExperimentConfig
 
-DEFAULT_SEED = 0xC0FFEE
 # settable in config.experiment: every ExperimentConfig field but the model
 # and the seeds, which have their own config sections
 _EXPERIMENT_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {
@@ -50,10 +49,7 @@ _EXPERIMENT_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rwre", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "simulate", "analyze", "clt-hitting", "clt-position",
-        "lln", "diagnostics", "oracle-check",
-    ):
+    for name in _REPORTS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
@@ -93,9 +89,10 @@ def _load_config(path: str, args) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"config.seeds: unknown fields {sorted(unknown)}")
 
-    master = DEFAULT_SEED
-    if seeds.get("master") is not None:
-        master = seeds["master"]
+    fields = dict(experiment)
+    # the flag beats RWRE_SEED, which beats seeds.master; with none of them
+    # set, ExperimentConfig's default master seed holds
+    master = seeds.get("master")
     if os.environ.get("RWRE_SEED"):
         try:
             master = int(os.environ["RWRE_SEED"], 0)
@@ -103,14 +100,13 @@ def _load_config(path: str, args) -> ExperimentConfig:
             raise ConfigError("RWRE_SEED: must be an integer")
     if args.seed is not None:
         master = args.seed
-
-    fields = dict(experiment)
+    if master is not None:
+        fields["master_seed"] = master
     if args.centering is not None:
         fields["centering"] = args.centering
     try:
         return ExperimentConfig(
             model=model,
-            master_seed=master,
             env_seed=seeds.get("env"),
             walk_seed=seeds.get("walk"),
             **fields,
@@ -166,8 +162,11 @@ def _config_snapshot(config: ExperimentConfig) -> dict:
     return snap
 
 
-def _experiment_report_dict(report: harness.ExperimentReport) -> dict:
+def _clt_report(report: harness.ExperimentReport, out: Path) -> dict:
+    """report.json payload of one CLT item; writes its samples.csv and cdf.csv."""
     z = report.standardized
+    _write_samples(out / "samples.csv", report.raw_samples, z)
+    _write_cdf(out / "cdf.csv", report.sorted_standardized, report.sorted_phi)
     return {
         "kind": report.kind,
         "scale": report.scale,
@@ -194,18 +193,13 @@ def _experiment_report_dict(report: harness.ExperimentReport) -> dict:
     }
 
 
-def _run_sampling(config: ExperimentConfig, kind: str, out: Path) -> dict:
-    if kind == "clt_position":
-        report = harness.clt_position(config)
-    else:
-        report = harness.clt_hitting(config)
-    payload = _experiment_report_dict(report)
-    _write_samples(out / "samples.csv", report.raw_samples, report.standardized)
-    _write_cdf(out / "cdf.csv", report.sorted_standardized, report.sorted_phi)
-    return payload
+def _simulate_report(config: ExperimentConfig, out: Path) -> dict:
+    """The CLT item ``config.kind`` names; any other kind runs the hitting experiment."""
+    command = "clt-position" if config.kind == "clt_position" else "clt-hitting"
+    return {**_REPORTS[command](config, out), "kind": "simulate"}
 
 
-def _analyze_report(config: ExperimentConfig) -> dict:
+def _analyze_report(config: ExperimentConfig, _out: Path) -> dict:
     model = config.model
     cls = classify(model)
     kappa_grid = [0.25 * i for i in range(9)]
@@ -244,7 +238,7 @@ def _analyze_report(config: ExperimentConfig) -> dict:
     return payload
 
 
-def _oracle_check_report(config: ExperimentConfig) -> dict:
+def _oracle_check_report(config: ExperimentConfig, _out: Path) -> dict:
     """Cross-module equivalence audit on the configured model."""
     model = config.model
     conditions = check_conditions(model)
@@ -313,7 +307,7 @@ def _oracle_check_report(config: ExperimentConfig) -> dict:
     return payload
 
 
-def _diagnostics_report(config: ExperimentConfig) -> dict:
+def _diagnostics_report(config: ExperimentConfig, _out: Path) -> dict:
     diag = harness.fluctuation_diagnostics(config)
     erg = harness.uniform_ergodicity_estimate(
         config.model, diag.n_grid, seed=config.resolved_env_seed()
@@ -326,9 +320,22 @@ def _diagnostics_report(config: ExperimentConfig) -> dict:
     }
 
 
-def _lln_report(config: ExperimentConfig) -> dict:
+def _lln_report(config: ExperimentConfig, _out: Path) -> dict:
     rep = harness.lln_check(config)
     return {"kind": "lln", "model": model_to_dict(config.model), **dataclasses.asdict(rep)}
+
+
+# subcommand -> builder(config, out) of its report.json payload, in help order;
+# ``harness`` is read at call time, so a wrapped harness function is the one run
+_REPORTS = {
+    "simulate": _simulate_report,
+    "analyze": _analyze_report,
+    "clt-hitting": lambda config, out: _clt_report(harness.clt_hitting(config), out),
+    "clt-position": lambda config, out: _clt_report(harness.clt_position(config), out),
+    "lln": _lln_report,
+    "diagnostics": _diagnostics_report,
+    "oracle-check": _oracle_check_report,
+}
 
 
 def _digest(path: Path) -> dict:
@@ -343,27 +350,7 @@ def _run(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     command = args.command
-    exit_code = 0
-    if command == "simulate":
-        kind = config.kind if config.kind in ("clt_hitting", "clt_position") else "clt_hitting"
-        payload = _run_sampling(config, kind, out)
-        payload["kind"] = "simulate"
-    elif command == "clt-hitting":
-        payload = _run_sampling(config, "clt_hitting", out)
-    elif command == "clt-position":
-        payload = _run_sampling(config, "clt_position", out)
-    elif command == "analyze":
-        payload = _analyze_report(config)
-    elif command == "lln":
-        payload = _lln_report(config)
-    elif command == "diagnostics":
-        payload = _diagnostics_report(config)
-    elif command == "oracle-check":
-        payload = _oracle_check_report(config)
-        if not payload["eligible"]:
-            exit_code = NotCltEligibleError.exit_code
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown command {command!r}")
+    payload = _REPORTS[command](config, out)
     _write_json(out / "report.json", payload)
     outputs = {}
     for name in ("report.json", "samples.csv", "cdf.csv"):
@@ -380,7 +367,10 @@ def _run(args) -> int:
         "outputs": outputs,
     }
     _write_json(out / "manifest.json", manifest)
-    return exit_code
+    # an ineligible law's audit is still written in full, then exits 3
+    if command == "oracle-check" and not payload["eligible"]:
+        return NotCltEligibleError.exit_code
+    return 0
 
 
 def main(argv=None) -> int:

@@ -55,6 +55,7 @@ __all__ = [
 _PHASE_GRID = 8192  # density of the validation grid for quasi-periodic p(.)
 RECURRENCE_TOL = 1e-9  # |E ln A| at or below this is classified recurrent
 GAMMA = 3.0  # moment exponent (> 2) at which check_conditions evaluates C3 and C4
+SEED_ATTENUATION_LOG = 46.0  # recursions are seeded this far back in summed log odds
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +640,8 @@ def suggested_left_guard(model: EnvironmentModel) -> int:
 
 
 def suggested_burn_in(model: EnvironmentModel) -> int:
-    """Sites to the left of 0 needed to attenuate recursion seeding below ~1e-20."""
+    """Sites left of 0 that attenuate recursion seeding by e^-SEED_ATTENUATION_LOG, plus 64."""
     lam = mean_log_odds(model)
     if lam >= 0:
         raise ModelError("suggested_burn_in: model is not transient to the right")
-    return min(100_000, math.ceil(46.0 / abs(lam)) + 64)
+    return min(100_000, math.ceil(SEED_ATTENUATION_LOG / abs(lam)) + 64)

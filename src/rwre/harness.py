@@ -100,6 +100,8 @@ class ExperimentConfig:
     finite and positive and the ``x_grid`` entries are finite, so every
     verdict depends on the samples.  Seeds not given explicitly are derived
     as children of the master seed.
+    ``lln`` takes its scales from the last ``n_grid`` and ``t_grid`` entries;
+    ``n`` and ``t`` only build an empty grid, the geometric grid ending at them.
     ``max_steps`` caps hitting, LLN and trajectory runs only: X(t) always
     takes exactly t steps.  Every sampler runs in one process, so no field
     sets a worker count.  The law-level constants (``analytics.summary``)
@@ -333,15 +335,16 @@ def clt_position(config: ExperimentConfig) -> ExperimentReport:
     summ = analytics.summary(config.model)
     t = config.t
     guard = _left_guard(config)
+    # the scale averages the first t/mu sites, and at least 64 of them
+    k_used = max(64, int(t / summ.mu))
 
     def replicate(env_seed):
-        window = _experiment_window(config, t + 1, env_seed, guard)
+        window = _experiment_window(config, max(t, k_used) + 1, env_seed, guard)
         profile = MomentProfile(window)
         if config.centering == "explicit":
             centering = profile.explicit_center(t, summ.mu)
         else:
             centering = float(profile.implicit_center(t))
-        k_used = max(64, int(t / summ.mu))
         window_mu = profile.hitting_centering(k_used) / k_used
         window_sigma2 = float(profile.sigma2_array(k_used).mean())
         scale_value = math.sqrt(t) * math.sqrt(window_mu**-3 * window_sigma2)
@@ -371,10 +374,13 @@ class LlnReport:
 def lln_check(config: ExperimentConfig) -> LlnReport:
     """Law-of-large-numbers check on one long joint trajectory.
 
-    For positive-speed laws the verdict compares T(n)/n and X(t)/t to the
-    law-level mean crossing time (``analytics.reference_crossing_mean``, the
-    circle average for quasi-periodic laws) at the largest grid scale, within
-    config.lln_rel_tol relative error.  Zero-speed transient laws (order-1
+    The scales n and t are the last ``n_grid`` and ``t_grid`` entries; they
+    set the window, the step budget, the hitting goal and the verdict, and
+    ``config.n`` and ``config.t`` only build an empty grid, which ends at
+    them.  For positive-speed laws the verdict compares T(n)/n and X(t)/t to
+    the law-level mean crossing time (``analytics.reference_crossing_mean``,
+    the circle average for quasi-periodic laws) within config.lln_rel_tol
+    relative error.  Zero-speed transient laws (order-1
     growth rate >= 1) get trend reporting only: X(t)/t should fall.
     """
     if mean_log_odds(config.model) >= 0:
@@ -382,10 +388,9 @@ def lln_check(config: ExperimentConfig) -> LlnReport:
     positive_speed = odds_growth_rate(config.model, 1.0) < 1.0
     mu = analytics.reference_crossing_mean(config.model) if positive_speed else None
 
-    n_max = config.n
-    t_max = config.t
-    n_grid = config.n_grid or _geometric_grid(n_max)
-    t_grid = config.t_grid or _geometric_grid(t_max)
+    n_grid = config.n_grid or _geometric_grid(config.n)
+    t_grid = config.t_grid or _geometric_grid(config.t)
+    n_max, t_max = n_grid[-1], t_grid[-1]
     mu_hint = mu if mu is not None else 10.0
     budget = _budget(config, walk.default_max_steps(n_max, mu_hint) + 2 * t_max)
     env_seed = config.resolved_env_seed()
@@ -444,7 +449,7 @@ def variance_ratio_check(config: ExperimentConfig) -> VarianceRatioReport:
     summ = analytics.summary(config.model)
     n_grid = config.n_grid or _geometric_grid(config.n)
     env_seed = config.resolved_env_seed()
-    window = _experiment_window(config, max(n_grid) + 1, env_seed, 8)
+    window = realize(config.model, -suggested_burn_in(config.model), max(n_grid) + 1, env_seed)
     profile = MomentProfile(window)
     sig = profile.sigma2_array(max(n_grid))
     csum = np.cumsum(sig)
@@ -519,7 +524,7 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
     env_seeds = tuple(config.resolved_env_seed(rep) for rep in range(config.env_replicates))
     rows = []  # one row of the seven statistics per environment replicate
     for env_seed in env_seeds:
-        window = _experiment_window(config, k_needed + 1, env_seed, 8)
+        window = realize(config.model, -suggested_burn_in(config.model), k_needed + 1, env_seed)
         profile = MomentProfile(window)
         centered = profile.mu_array(k_needed) - summ.mu
         prefix = np.concatenate([[0.0], np.cumsum(centered)])

@@ -86,6 +86,30 @@ class TestSimulate:
             blobs.append([(out / name).read_bytes() for name in ("report.json", "samples.csv")])
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("kind, command", [
+        ("clt_position", "clt-position"),
+        ("clt_hitting", "clt-hitting"),
+        ("lln", "clt-hitting"),  # any other kind runs the hitting experiment
+    ])
+    def test_runs_the_clt_item_its_kind_names(self, tmp_path, kind, command):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"type": "iid_discrete", "atoms": [[0.8, 0.5], [0.6, 0.5]]},
+            {"kind": kind, "n": 200, "t": 400, "replicas": 300, "ks_threshold": 1.0},
+            {"master": 3},
+        )
+        outs = {}
+        for name in ("simulate", command):
+            outs[name] = tmp_path / name
+            assert main([name, "--config", cfg, "--out", str(outs[name])]) == 0
+        simulated = json.loads((outs["simulate"] / "report.json").read_text())
+        direct = json.loads((outs[command] / "report.json").read_text())
+        assert simulated.pop("kind") == "simulate"
+        assert direct.pop("kind") == command.replace("-", "_")
+        assert simulated == direct
+        for name in ("samples.csv", "cdf.csv"):
+            assert (outs["simulate"] / name).read_bytes() == (outs[command] / name).read_bytes()
+
 
 class TestErrors:
     def test_malformed_probability_names_field(self, tmp_path, capsys):
@@ -339,6 +363,7 @@ class TestSubcommands:
         assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["eligible"] is False
+        assert (out / "manifest.json").exists()
 
     def test_lln_and_diagnostics(self, tmp_path):
         lln_cfg = write_config(
@@ -383,6 +408,7 @@ class TestSubcommands:
         rep = json.loads((out / "report.json").read_text())
         assert rep["eligible"] is False
         assert rep["regime"] == "recurrent"
+        assert json.loads((out / "manifest.json").read_text())["command"] == "oracle-check"
 
 
 class TestManifest:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from rwre.analytics import reference_crossing_mean, summary
+from rwre import harness
 from rwre.environment import Constant
 from rwre.errors import (
     ConfigError,
@@ -171,6 +172,16 @@ class TestCltPosition:
         with pytest.raises(NotCltEligibleError):
             clt_position(ExperimentConfig(model=zero_speed, t=100, replicas=200))
 
+    @pytest.mark.parametrize("t", [1, 10, 61])
+    def test_small_t_runs(self, two_point, t):
+        # the scale reads the profile to max(64, t/mu) sites, past t itself
+        for centering in ("explicit", "implicit"):
+            rep = clt_position(ExperimentConfig(model=two_point, t=t, replicas=200,
+                                                centering=centering, ks_threshold=1.0))
+            assert rep.scale == t and len(rep.raw_samples) == 200
+            assert np.all((rep.raw_samples + t) % 2 == 0)
+            assert math.isfinite(rep.scale_value) and rep.scale_value > 0
+
 
 class TestLln:
     def test_constant(self):
@@ -203,6 +214,40 @@ class TestLln:
     def test_left_walk_rejected(self):
         with pytest.raises(NotCltEligibleError):
             lln_check(ExperimentConfig(model=Constant(0.25), kind="lln", replicas=100))
+
+    def test_t_grid_past_t_runs(self, two_point):
+        cfg = ExperimentConfig(model=two_point, kind="lln", n=1000, t=1000, replicas=100,
+                               t_grid=(100, 5000))
+        rep = lln_check(cfg)
+        assert rep.t_grid == (100, 5000)
+        assert rep == lln_check(ExperimentConfig(model=two_point, kind="lln", n=1000, t=5000,
+                                                 replicas=100, t_grid=(100, 5000)))
+
+    def test_n_grid_past_n_runs(self, two_point):
+        cfg = ExperimentConfig(model=two_point, kind="lln", n=1000, t=1000, replicas=100,
+                               n_grid=(100, 5000))
+        rep = lln_check(cfg)
+        assert all(math.isfinite(r) for r in rep.hitting_ratios)
+        assert math.isfinite(rep.hitting_rel_error)
+        assert rep == lln_check(ExperimentConfig(model=two_point, kind="lln", n=5000, t=1000,
+                                                 replicas=100, n_grid=(100, 5000)))
+
+    def test_grid_tops_are_the_scales(self, two_point, monkeypatch):
+        rights = []
+        realize = harness.realize
+
+        def recording_realize(model, lo, hi, seed):
+            rights.append(hi)
+            return realize(model, lo, hi, seed)
+
+        monkeypatch.setattr(harness, "realize", recording_realize)
+        grids = {"n_grid": (10, 100, 1000), "t_grid": (10, 100, 2000)}
+        below = lln_check(ExperimentConfig(model=two_point, kind="lln", n=20_000, t=20_000,
+                                           replicas=100, **grids))
+        at_top = lln_check(ExperimentConfig(model=two_point, kind="lln", n=1000, t=2000,
+                                            replicas=100, **grids))
+        assert below == at_top
+        assert rights == [2001, 2001]
 
 
 class TestVarianceRatio:
