@@ -325,7 +325,7 @@ def _lln_report(config: ExperimentConfig, _out: Path) -> dict:
     return {"kind": "lln", "model": model_to_dict(config.model), **dataclasses.asdict(rep)}
 
 
-# subcommand -> builder(config, out) of its report.json payload, in help order;
+# subcommand -> report(config, out), which returns its report.json payload, in help order;
 # ``harness`` is read at call time, so a wrapped harness function is the one run
 _REPORTS = {
     "simulate": _simulate_report,
