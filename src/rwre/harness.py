@@ -25,7 +25,7 @@ from .environment import (
     suggested_burn_in,
     suggested_left_guard,
 )
-from .errors import ConfigError, ModelError, NotCltEligibleError
+from .errors import ConfigError, ModelError, NotCltEligibleError, RightGuardBreachError
 from .walk import SimulationBudget
 
 __all__ = [
@@ -377,11 +377,15 @@ def lln_check(config: ExperimentConfig) -> LlnReport:
     The scales n and t are the last ``n_grid`` and ``t_grid`` entries; they
     set the window, the step budget, the hitting goal and the verdict, and
     ``config.n`` and ``config.t`` only build an empty grid, which ends at
-    them.  For positive-speed laws the verdict compares T(n)/n and X(t)/t to
-    the law-level mean crossing time (``analytics.reference_crossing_mean``,
-    the circle average for quasi-periodic laws) within config.lln_rel_tol
-    relative error.  Zero-speed transient laws (order-1
-    growth rate >= 1) get trend reporting only: X(t)/t should fall.
+    them.  The walker never passes max(n, t), one site inside the full window.
+    A positive-speed walker first gets the sites to its LLN reach with a
+    margin, max(n + 1, 1.1 t/mu + 1); past that, it is replayed step for step
+    from the same seed on the full window.  For positive-speed laws the
+    verdict compares T(n)/n and X(t)/t to the law-level mean crossing time
+    (``analytics.reference_crossing_mean``, the circle average for
+    quasi-periodic laws) within config.lln_rel_tol relative error.
+    Zero-speed transient laws (order-1 growth rate >= 1) get trend reporting
+    only: X(t)/t should fall.
     """
     if mean_log_odds(config.model) >= 0:
         raise NotCltEligibleError("LLN experiment requires a transient-right law")
@@ -394,13 +398,23 @@ def lln_check(config: ExperimentConfig) -> LlnReport:
     mu_hint = mu if mu is not None else 10.0
     budget = _budget(config, walk.default_max_steps(n_max, mu_hint) + 2 * t_max)
     env_seed = config.resolved_env_seed()
-    window = _experiment_window(config, max(n_max, t_max) + 1, env_seed, budget.left_guard)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.resolved_walk_seed()))
-    # zero-speed walks may never reach a fixed site within any sane budget,
-    # so the hitting goal is only imposed in the positive-speed regime
-    obs = walk.sample_position(
-        window, 0, t_grid, rng, budget, n_goal=n_max if positive_speed else None,
-    )
+    full = max(n_max, t_max) + 1
+    right = min(full, max(n_max + 1, int(1.1 * t_max / mu) + 1)) if positive_speed else full
+
+    def walk_to(end):
+        window = _experiment_window(config, end, env_seed, budget.left_guard)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.resolved_walk_seed()))
+        # zero-speed walks may never reach a fixed site within any sane budget,
+        # so the hitting goal is only imposed in the positive-speed regime
+        n_goal = n_max if positive_speed else None
+        return walk.sample_position(window, 0, t_grid, rng, budget, n_goal=n_goal)
+
+    try:
+        obs = walk_to(right)
+    except RightGuardBreachError:
+        obs = None
+    if obs is None:  # outside the except block, so the first window is freed first
+        obs = walk_to(full)
     hit = obs.hit
     hitting_ratios = tuple(
         float(hit[m]) / m if m < len(hit) else float("nan") for m in n_grid

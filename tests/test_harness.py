@@ -183,6 +183,20 @@ class TestCltPosition:
             assert math.isfinite(rep.scale_value) and rep.scale_value > 0
 
 
+@pytest.fixture
+def record_rights(monkeypatch):
+    """The right end of every window the harness realizes."""
+    rights = []
+    realize = harness.realize
+
+    def recording_realize(model, lo, hi, seed):
+        rights.append(hi)
+        return realize(model, lo, hi, seed)
+
+    monkeypatch.setattr(harness, "realize", recording_realize)
+    return rights
+
+
 class TestLln:
     def test_constant(self):
         cfg = ExperimentConfig(model=Constant(0.75), kind="lln", n=20_000, t=20_000, replicas=100,
@@ -202,7 +216,7 @@ class TestLln:
         assert rep.hitting_rel_error <= 0.02 and rep.position_rel_error <= 0.02
         assert rep.verdict
 
-    def test_zero_speed_trend(self, zero_speed):
+    def test_zero_speed_trend(self, zero_speed, record_rights):
         cfg = ExperimentConfig(
             model=zero_speed, kind="lln", n=100, t=30_000, replicas=100,
             left_guard=300, t_grid=(1000, 30_000),
@@ -210,6 +224,7 @@ class TestLln:
         rep = lln_check(cfg)
         assert rep.mu is None
         assert rep.position_ratios[-1] < rep.position_ratios[0]
+        assert record_rights == [30_000 + 1]  # no t/mu to guess from: the full window
 
     def test_left_walk_rejected(self):
         with pytest.raises(NotCltEligibleError):
@@ -232,22 +247,40 @@ class TestLln:
         assert rep == lln_check(ExperimentConfig(model=two_point, kind="lln", n=5000, t=1000,
                                                  replicas=100, n_grid=(100, 5000)))
 
-    def test_grid_tops_are_the_scales(self, two_point, monkeypatch):
-        rights = []
-        realize = harness.realize
-
-        def recording_realize(model, lo, hi, seed):
-            rights.append(hi)
-            return realize(model, lo, hi, seed)
-
-        monkeypatch.setattr(harness, "realize", recording_realize)
+    def test_grid_tops_are_the_scales(self, two_point, record_rights):
         grids = {"n_grid": (10, 100, 1000), "t_grid": (10, 100, 2000)}
         below = lln_check(ExperimentConfig(model=two_point, kind="lln", n=20_000, t=20_000,
                                            replicas=100, **grids))
         at_top = lln_check(ExperimentConfig(model=two_point, kind="lln", n=1000, t=2000,
                                             replicas=100, **grids))
         assert below == at_top
-        assert rights == [2001, 2001]
+        # the first guess max(n + 1, floor(1.1 t / mu) + 1) at the grid tops n = 1000,
+        # t = 2000, two-point mu = 35/13, is 1001: the n side, below max(n, t) + 1
+        end = max(1000 + 1, math.floor(1.1 * 2000 / reference_crossing_mean(two_point)) + 1)
+        assert end == 1001
+        assert record_rights == [end, end]
+
+    def test_positive_speed_realizes_the_reach(self, two_point, record_rights):
+        cfg = ExperimentConfig(model=two_point, kind="lln", n=100, t=20_000, replicas=100)
+        lln_check(cfg)
+        # one window, no fallback, to the reach t/mu = 7429 with a tenth's margin
+        end = math.floor(1.1 * 20_000 / reference_crossing_mean(two_point)) + 1
+        assert record_rights == [end] and end < 20_000 + 1
+
+    def test_fallback_replays_the_walk(self, two_point, monkeypatch):
+        cfg = ExperimentConfig(model=two_point, kind="lln", n=100, t=20_000, replicas=100)
+        want = lln_check(cfg)
+        rights = []
+        window = harness._experiment_window
+
+        def cut_first(config, right, env_seed, guard):
+            # the first window cut to n + 1, which the walker reaches long before t steps
+            rights.append(right if rights else 100 + 1)
+            return window(config, rights[-1], env_seed, guard)
+
+        monkeypatch.setattr(harness, "_experiment_window", cut_first)
+        assert lln_check(cfg) == want
+        assert rights == [100 + 1, 20_000 + 1]
 
 
 class TestVarianceRatio:

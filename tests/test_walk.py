@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from rwre.environment import (
@@ -216,6 +218,28 @@ class TestSamplePosition:
         obs = sample_position(window_75, 0, [50, 500], rng, BUDGET, n_goal=100)
         assert len(obs.hit) >= 101
         assert len(obs.snapshots) == 2
+
+    @given(
+        p=st.floats(min_value=0.55, max_value=0.95),
+        q=st.floats(min_value=0.5, max_value=0.95),
+        two_point=st.booleans(),
+        n=st.integers(min_value=1, max_value=300),
+        t_grid=st.lists(st.integers(min_value=0, max_value=3000), min_size=1, max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_joint_mode_reach_is_at_most_max_n_t(self, p, q, two_point, n, t_grid, seed):
+        # the walk stops once it has taken t_grid[-1] steps and reached n, so it
+        # never passes max(n, t_grid[-1]): lln_check's full window, one site
+        # further, is never breached, and one fallback to it is enough
+        law = IidDiscrete(((p, 0.5), (q, 0.5))) if two_point else Constant(p)
+        t_grid = sorted(t_grid)
+        top = max(n, t_grid[-1])
+        budget = SimulationBudget(left_guard=200, max_steps=5_000_000)
+        window = realize(law, -202, top + 64, seed)
+        rng = np.random.default_rng(seed)
+        obs = sample_position(window, 0, t_grid, rng, budget, n_goal=n)
+        assert len(obs.hit) - 1 <= top
 
 
 PARITY_LAWS = {
