@@ -259,7 +259,8 @@ def _oracle_check_report(config: ExperimentConfig, _out: Path) -> dict:
     env_seed = config.resolved_env_seed()
     window = realize(model, a - margin, n + 8, env_seed)
     e = oracle.expected_hitting_times(window, a, n)
-    v = oracle.hitting_time_variances(window, a, n)
+    forcing = oracle.forcing_terms(window, e)
+    v = oracle.solve_finite_chain(window, a, n, forcing["derived"])
     mu_inc = e.increments()
     v_inc = v.increments()
     interior = range(40, n - 10)
@@ -269,7 +270,6 @@ def _oracle_check_report(config: ExperimentConfig, _out: Path) -> dict:
         site = analytics.site_variance(window, k)
         mu_gap = max(mu_gap, abs(site.mu - mu_inc[k - a]))
         sg_gap = max(sg_gap, abs(site.sigma2 - v_inc[k - a]))
-    forcing = oracle.forcing_terms(window, e)
     summ = analytics.summary(model)
     mc_n = max(200_000, config.replicas)
     mc = oracle.mc_crossing_moments(window, 0, mc_n, config.resolved_walk_seed())

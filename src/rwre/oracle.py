@@ -214,54 +214,71 @@ def _propagate(window: EnvironmentWindow, z0: int, steps: int, left_guard: int |
     the order of ``np.cumsum(hits)``, so it equals the hits' CDF bit for bit.
     Returns (start, masses, absorbed at the guard, dropped, hits), hits[s]
     being the mass absorbed at ``right`` at step s.
+
+    Every cell the band holds lies in the reach [r0, r1], so p there is
+    copied once into two contiguous parity planes: a band starting at x reads
+    plane (x - r0) % 2 with no stride, and ``m p_x`` goes into one reused
+    scratch array.  The guard and top cells are read through a memoryview as
+    Python floats, the same IEEE values as numpy scalars without their boxing.
     """
     guard = None if left_guard is None else -left_guard
     left = z0 - steps if guard is None else guard
     top = z0 + steps if right is None else right
     if left < window.lo or top > window.hi:
         raise WindowTooSmallError(f"window [{window.lo}, {window.hi}] must cover [{left}, {top}]")
-    p = window.p
-    lo = window.lo
-    width = (min(top, z0 + steps) - max(left, z0 - steps)) // 2 + 2  # the widest band
+    if guard is not None and z0 <= guard:
+        raise ModelError(f"start {z0} must lie right of the guard {guard}")
+    r0, r1 = max(left, z0 - steps), min(top, z0 + steps)
+    reach = window.p[r0 - window.lo : r1 - window.lo + 1]
+    planes = (reach[::2].copy(), reach[1::2].copy())
+    width = (r1 - r0) // 2 + 2  # the widest band
     buf = np.zeros(2 * width + TRIM_EVERY + 2)
-    buf[0] = 1.0
+    moved = np.empty(width)
+    cells = memoryview(buf)
+    cells[0] = 1.0
     a, b, start = 0, 1, z0
     absorbed = dropped = total = 0.0
     hits = [0.0]
+    trim_at = min(TRIM_EVERY, steps)
     for s in range(1, steps + 1):
         if b == buf.size:  # slide the band back to the front of the buffer
             buf[: b - a] = buf[a:b]
             buf[b - a :] = 0.0
             a, b = 0, b - a
         band = buf[a:b]
-        moved = band * p[start - lo :: 2][: b - a]
-        band -= moved
-        buf[a + 1 : b + 1] += moved
+        m = moved[: b - a]
+        d = start - r0
+        np.multiply(band, planes[d & 1][d >> 1 : (d >> 1) + b - a], m)
+        np.subtract(band, m, band)
+        up = buf[a + 1 : b + 1]
+        np.add(up, m, up)
         b += 1
         start -= 1
         if start == guard:
-            absorbed += buf[a]
-            buf[a] = 0.0
+            absorbed += cells[a]
+            cells[a] = 0.0
             a += 1
             start += 2
         if start + 2 * (b - 1 - a) == right:
             b -= 1
-            hits.append(buf[b])
-            buf[b] = 0.0
-            total += hits[-1]
+            hit = cells[b]
+            cells[b] = 0.0
+            hits.append(hit)
+            total += hit
             if total > target:
                 break
         else:
             hits.append(0.0)
-        if s % TRIM_EVERY == 0 or s == steps or a == b:
+        if s == trim_at or a == b:
             live = np.flatnonzero(buf[a:b] >= LAW_EPS)
-            i, j = (live[0], live[-1] + 1) if live.size else (b - a, b - a)
+            i, j = (int(live[0]), int(live[-1]) + 1) if live.size else (b - a, b - a)
             dropped += float(buf[a : a + i].sum() + buf[a + j : b].sum())
             buf[a + j : b] = 0.0
             a, b, start = a + i, a + j, start + 2 * i
             if a == b:
                 break
-    return start, buf[a:b].copy(), float(absorbed), dropped, np.array(hits)
+            trim_at = min(s + TRIM_EVERY, steps)  # only a scheduled trim leaves a band
+    return start, buf[a:b].copy(), absorbed, dropped, np.array(hits)
 
 
 def position_law(window: EnvironmentWindow, z0: int, t: int, left_guard: int | None = None):

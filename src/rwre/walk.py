@@ -94,6 +94,7 @@ def _simulate(
 ) -> WalkObservation:
     lo = window.lo
     hi = window.hi
+    span = hi - lo
     if z0 <= lo or z0 >= hi:
         raise WindowTooSmallError(f"start {z0} not strictly inside window [{lo}, {hi}]")
     if n_stop is not None and n_stop > hi:
@@ -132,27 +133,33 @@ def _simulate(
         dx -= 1
         dx[open_] = 0
         moves = bytearray()  # +1 or -1 as int8 bytes
+        append = moves.append
         shift = 0
         for i, v in zip((np.cumsum(dx)[open_] + (x - lo)).tolist(), u[open_].tolist()):
             i += shift
-            if i <= 0 or i >= hi - lo:
+            if not 0 < i < span:
                 break  # the walk has ended before any step that starts outside (lo, hi)
             if v < sites[i]:
-                moves.append(1)
+                append(1)
                 shift += 1
             else:
-                moves.append(255)
+                append(255)
                 shift -= 1
         dx[open_[: len(moves)]] = np.frombuffer(moves, dtype=np.int8)
         xs = np.cumsum(dx)
         xs += x
         record = np.maximum.accumulate(xs)
         np.maximum(record, best, out=record)
-        done = record >= goal
-        done[: max(t_need - t - 1, 0)] = False
-        left = xs <= -left_guard
-        ends = left | done | (xs >= hi)
-        k = int(ends.argmax()) + 1 if ends.any() else n  # steps taken
+        # steps taken: the whole block, unless its record reaches the goal or
+        # it reaches the guard or the right edge; only then are masks built
+        k, ends = n, None
+        if record[-1] >= goal or xs.min() <= -left_guard or xs.max() >= hi:
+            done = record >= goal
+            done[: max(t_need - t - 1, 0)] = False
+            left = xs <= -left_guard
+            ends = left | done | (xs >= hi)
+            if ends.any():
+                k = int(ends.argmax()) + 1
         fp.append(t + 1 + np.flatnonzero(np.diff(record[:k], prepend=best)))
         if record_path:
             path.append(xs[:k])
@@ -160,12 +167,13 @@ def _simulate(
             snaps.append((snap_times[si], int(xs[snap_times[si] - t - 1])))
             si += 1
         t += k
-        if left[k - 1]:
-            raise LeftGuardBreachError(
-                f"walker reached left guard {-left_guard} at step {t}; enlarge the guard"
-            )
-        if ends[k - 1] and not done[k - 1]:
-            raise RightGuardBreachError(f"walker reached right window edge {hi} at step {t}")
+        if ends is not None and ends[k - 1]:
+            if left[k - 1]:
+                raise LeftGuardBreachError(
+                    f"walker reached left guard {-left_guard} at step {t}; enlarge the guard"
+                )
+            if not done[k - 1]:
+                raise RightGuardBreachError(f"walker reached right window edge {hi} at step {t}")
         x = int(xs[k - 1])
         best = int(record[k - 1])
     hit = np.concatenate(fp)

@@ -1,5 +1,11 @@
+import inspect
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from rwre.analytics import MomentProfile, site_mean, site_variance
@@ -15,6 +21,8 @@ from rwre.environment import (
 from rwre.errors import ModelError, WindowTooSmallError
 from rwre.oracle import (
     LAW_EPS,
+    TRIM_EVERY,
+    _propagate,
     exact_position_distribution,
     expected_hitting_times,
     forcing_terms,
@@ -281,6 +289,157 @@ def brute_force_hitting_pmf(window, n, left_guard, steps):
         nxt[-1] = 0.0
         probs = nxt
     return np.array(pmf)
+
+
+def stepped_propagate(window: EnvironmentWindow, z0: int, steps: int, left_guard: int | None = None,
+                      right: int | None = None, target: float = math.inf):
+    """Reference: ``oracle._propagate`` as it ran before the contiguous parity
+    planes, the reused scratch and the Python-float edge cells, verbatim."""
+    guard = None if left_guard is None else -left_guard
+    left = z0 - steps if guard is None else guard
+    top = z0 + steps if right is None else right
+    if left < window.lo or top > window.hi:
+        raise WindowTooSmallError(f"window [{window.lo}, {window.hi}] must cover [{left}, {top}]")
+    p = window.p
+    lo = window.lo
+    width = (min(top, z0 + steps) - max(left, z0 - steps)) // 2 + 2  # the widest band
+    buf = np.zeros(2 * width + TRIM_EVERY + 2)
+    buf[0] = 1.0
+    a, b, start = 0, 1, z0
+    absorbed = dropped = total = 0.0
+    hits = [0.0]
+    for s in range(1, steps + 1):
+        if b == buf.size:  # slide the band back to the front of the buffer
+            buf[: b - a] = buf[a:b]
+            buf[b - a :] = 0.0
+            a, b = 0, b - a
+        band = buf[a:b]
+        moved = band * p[start - lo :: 2][: b - a]
+        band -= moved
+        buf[a + 1 : b + 1] += moved
+        b += 1
+        start -= 1
+        if start == guard:
+            absorbed += buf[a]
+            buf[a] = 0.0
+            a += 1
+            start += 2
+        if start + 2 * (b - 1 - a) == right:
+            b -= 1
+            hits.append(buf[b])
+            buf[b] = 0.0
+            total += hits[-1]
+            if total > target:
+                break
+        else:
+            hits.append(0.0)
+        if s % TRIM_EVERY == 0 or s == steps or a == b:
+            live = np.flatnonzero(buf[a:b] >= LAW_EPS)
+            i, j = (live[0], live[-1] + 1) if live.size else (b - a, b - a)
+            dropped += float(buf[a : a + i].sum() + buf[a + j : b].sum())
+            buf[a + j : b] = 0.0
+            a, b, start = a + i, a + j, start + 2 * i
+            if a == b:
+                break
+    return start, buf[a:b].copy(), float(absorbed), dropped, np.array(hits)
+
+def slides(window, *args) -> int:
+    """How often ``stepped_propagate(window, *args)`` slid its band back to the
+    front of its buffer, counted by tracing the slide's first line."""
+    code = stepped_propagate.__code__
+    lines, first = inspect.getsourcelines(stepped_propagate)
+    slide = first + 1 + next(i for i, text in enumerate(lines) if "slide the band back" in text)
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if frame.f_code is not code:
+            return None
+        count += event == "line" and frame.f_lineno == slide
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        stepped_propagate(window, *args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def assert_same_kernel(window, *args):
+    """``_propagate`` and the reference give the same (start, masses, absorbed,
+    dropped, hits), bit for bit; returns the reference's."""
+    got, ref = _propagate(window, *args), stepped_propagate(window, *args)
+    assert got[0] == ref[0]
+    for g, r in zip(got[1:], ref[1:]):
+        if isinstance(r, np.ndarray):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+        else:
+            assert type(g) is float and g.hex() == r.hex()
+    return ref
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A two-atom window and kernel arguments: z0 strictly between the guard
+    and the right edge, each of which may be absent."""
+    left_guard = draw(st.none() | st.integers(1, 30))
+    right = draw(st.none() | st.integers(1, 30))
+    z0 = draw(st.integers(-10 if left_guard is None else 1 - left_guard,
+                          10 if right is None else right - 1))
+    steps = draw(st.integers(0, 400))
+    target = draw(st.just(math.inf) | st.floats(0.0, 1.0))
+    left = z0 - steps if left_guard is None else -left_guard
+    top = z0 + steps if right is None else right
+    atoms = ((draw(st.floats(0.01, 0.99)), 0.5), (draw(st.sampled_from([1e-40, 0.3, 0.6, 0.95])), 0.5))
+    window = realize(IidDiscrete(atoms=atoms), left - draw(st.integers(0, 3)),
+                     top + draw(st.integers(0, 3)), draw(st.integers(0, 2**32)))
+    return window, (z0, steps, left_guard, right, target)
+
+
+class TestPropagationKernel:
+    """The kernel against ``stepped_propagate``, the loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_inputs())
+    def test_matches_reference(self, inputs):
+        window, args = inputs
+        assert_same_kernel(window, *args)
+
+    def test_every_stop_and_the_buffer_slide(self):
+        w = realize(SLOW, -800, 12_000, seed=3)
+        # no edges: runs out of steps
+        start, masses, absorbed, _, hits = assert_same_kernel(w, 3, 700)
+        assert masses.size and absorbed == 0.0 and hits.size == 701 and not hits.any()
+        # a guard, no right edge
+        _, masses, absorbed, _, hits = assert_same_kernel(w, 0, 700, 5)
+        assert masses.size and absorbed > 0.0 and hits.size == 701
+        # a right edge, no guard
+        _, masses, absorbed, _, hits = assert_same_kernel(w, 0, 700, None, 20)
+        assert masses.size and absorbed == 0.0 and hits.sum() > 0.0
+        # both edges and no target: the band empties, after sliding back
+        args = (0, 10**6, 30, 40)
+        _, masses, absorbed, _, hits = assert_same_kernel(w, *args)
+        assert masses.size == 0 and absorbed > 0.0 and hits.size < 10**6
+        assert slides(w, *args) > 0
+        # a finite target stops at the first step whose CDF passes it
+        _, masses, _, _, hits = assert_same_kernel(w, 0, 10**6, 30, 40, 0.5)
+        cdf = np.cumsum(hits)
+        assert masses.size and cdf[-2] <= 0.5 < cdf[-1]
+        # a step cap with mass still alive
+        _, masses, _, _, hits = assert_same_kernel(w, 0, 400, 30, 40)
+        assert masses.size and hits.size == 401
+        # every step to the left: the guard absorbs the whole band
+        left = EnvironmentWindow.from_values([1e-40] * 40, lo=-20)
+        _, masses, absorbed, _, _ = assert_same_kernel(left, 0, 30, 5, 10)
+        assert masses.size == 0 and absorbed == 1.0
+
+    def test_start_must_lie_right_of_the_guard(self):
+        w = realize(SLOW, -80, 100, seed=3)
+        for z0 in (-5, -6):
+            with pytest.raises(ModelError):
+                position_law(w, z0, 10, left_guard=5)
 
 
 class TestHittingLaw:

@@ -350,6 +350,23 @@ class TestBlockEngine:
         ref = run_both(w, 0, 1, left_guard=100, max_steps=10**6, n_stop=200)
         assert len(ref.hit) == 201
 
+    def test_edge_reached_at_a_block_end(self):
+        # with the last snapshot beyond it, the first block is steps 1.._BUF;
+        # these walkers (found with the stepped loop) first reach the guard or
+        # the right edge at its last step, or come within one site of it
+        drift_left = realize(Constant(0.4), -4000, 50, seed=2)
+        kw = dict(max_steps=10**6, snap_times=[_BUF + 5000])
+        ref = run_both(drift_left, 0, 2, left_guard=3234, n_stop=40, **kw)
+        assert isinstance(ref, LeftGuardBreachError) and f"at step {_BUF};" in str(ref)
+        ref = run_both(drift_left, 0, 2, left_guard=3235, n_stop=40, **kw)
+        assert isinstance(ref, LeftGuardBreachError) and f"at step {_BUF};" not in str(ref)
+        # the record passes the goal at the edge before the last snapshot
+        tp = PARITY_LAWS["two-point"]
+        ref = run_both(realize(tp, -300, 5964, seed=4), 0, 0, left_guard=100, n_stop=5964, **kw)
+        assert isinstance(ref, RightGuardBreachError) and str(ref).endswith(f"at step {_BUF}")
+        ref = run_both(realize(tp, -300, 5965, seed=4), 0, 0, left_guard=100, n_stop=5965, **kw)
+        assert isinstance(ref, RightGuardBreachError) and not str(ref).endswith(f"at step {_BUF}")
+
     def test_step_cap_at_hitting_time(self):
         ref = run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=10**6, n_stop=8000)
         t_hit = int(ref.hit[-1])
