@@ -410,7 +410,7 @@ class TestPropagationKernel:
     def test_every_stop_and_the_buffer_slide(self):
         w = realize(SLOW, -800, 12_000, seed=3)
         # no edges: runs out of steps
-        start, masses, absorbed, _, hits = assert_same_kernel(w, 3, 700)
+        _, masses, absorbed, _, hits = assert_same_kernel(w, 3, 700)
         assert masses.size and absorbed == 0.0 and hits.size == 701 and not hits.any()
         # a guard, no right edge
         _, masses, absorbed, _, hits = assert_same_kernel(w, 0, 700, 5)
