@@ -162,8 +162,12 @@ def _config_snapshot(config: ExperimentConfig) -> dict:
     return snap
 
 
-def _clt_report(report: harness.ExperimentReport, out: Path) -> dict:
-    """report.json payload of one CLT item; writes its samples.csv and cdf.csv."""
+# a report.json payload and the names of the other files its builder wrote to ``out``
+Report = tuple[dict, tuple[str, ...]]
+
+
+def _clt_report(report: harness.ExperimentReport, out: Path) -> Report:
+    """report.json payload of one CLT item, and the files it wrote: samples.csv and cdf.csv."""
     z = report.standardized
     _write_samples(out / "samples.csv", report.raw_samples, z)
     _write_cdf(out / "cdf.csv", report.sorted_standardized, report.sorted_phi)
@@ -190,16 +194,17 @@ def _clt_report(report: harness.ExperimentReport, out: Path) -> dict:
         },
         "ks_distribution": list(report.ks_distribution),
         "seeds": {"env": report.env_seed, "walk": report.walk_seed},
-    }
+    }, ("samples.csv", "cdf.csv")
 
 
-def _simulate_report(config: ExperimentConfig, out: Path) -> dict:
+def _simulate_report(config: ExperimentConfig, out: Path) -> Report:
     """The CLT item ``config.kind`` names; any other kind runs the hitting experiment."""
     command = "clt-position" if config.kind == "clt_position" else "clt-hitting"
-    return {**_REPORTS[command](config, out), "kind": "simulate"}
+    payload, written = _REPORTS[command](config, out)
+    return {**payload, "kind": "simulate"}, written
 
 
-def _analyze_report(config: ExperimentConfig, _out: Path) -> dict:
+def _analyze_report(config: ExperimentConfig, _out: Path) -> Report:
     model = config.model
     cls = classify(model)
     kappa_grid = [0.25 * i for i in range(9)]
@@ -235,10 +240,10 @@ def _analyze_report(config: ExperimentConfig, _out: Path) -> dict:
         payload["summary"] = None
         payload["eligible"] = False
         payload["eligibility_error"] = str(exc)
-    return payload
+    return payload, ()
 
 
-def _oracle_check_report(config: ExperimentConfig, _out: Path) -> dict:
+def _oracle_check_report(config: ExperimentConfig, _out: Path) -> Report:
     """Cross-module equivalence audit on the configured model."""
     model = config.model
     conditions = check_conditions(model)
@@ -252,7 +257,7 @@ def _oracle_check_report(config: ExperimentConfig, _out: Path) -> dict:
         payload["eligibility_error"] = (
             f"model is not CLT-eligible: regime={conditions.regime}, r2={conditions.r2!r}"
         )
-        return payload
+        return payload, ()
 
     a, n = -40, 160
     margin = max(suggested_burn_in(model), -a + 8)
@@ -304,10 +309,10 @@ def _oracle_check_report(config: ExperimentConfig, _out: Path) -> dict:
             },
         }
     )
-    return payload
+    return payload, ()
 
 
-def _diagnostics_report(config: ExperimentConfig, _out: Path) -> dict:
+def _diagnostics_report(config: ExperimentConfig, _out: Path) -> Report:
     diag = harness.fluctuation_diagnostics(config)
     erg = harness.uniform_ergodicity_estimate(
         config.model, diag.n_grid, seed=config.resolved_env_seed()
@@ -317,15 +322,15 @@ def _diagnostics_report(config: ExperimentConfig, _out: Path) -> dict:
         "model": model_to_dict(config.model),
         **dataclasses.asdict(diag),
         "ergodicity": dataclasses.asdict(erg),
-    }
+    }, ()
 
 
-def _lln_report(config: ExperimentConfig, _out: Path) -> dict:
+def _lln_report(config: ExperimentConfig, _out: Path) -> Report:
     rep = harness.lln_check(config)
-    return {"kind": "lln", "model": model_to_dict(config.model), **dataclasses.asdict(rep)}
+    return {"kind": "lln", "model": model_to_dict(config.model), **dataclasses.asdict(rep)}, ()
 
 
-# subcommand -> report(config, out), which returns its report.json payload, in help order;
+# subcommand -> report(config, out), which returns its Report, in help order;
 # ``harness`` is read at call time, so a wrapped harness function is the one run
 _REPORTS = {
     "simulate": _simulate_report,
@@ -350,13 +355,10 @@ def _run(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     command = args.command
-    payload = _REPORTS[command](config, out)
+    payload, written = _REPORTS[command](config, out)
     _write_json(out / "report.json", payload)
-    outputs = {}
-    for name in ("report.json", "samples.csv", "cdf.csv"):
-        path = out / name
-        if path.exists():
-            outputs[name] = _digest(path)
+    # only this run's files: ``out`` may hold another subcommand's
+    outputs = {name: _digest(out / name) for name in ("report.json", *written)}
     manifest = {
         "tool": {"name": "rwre", "version": __version__},
         "command": command,

@@ -698,9 +698,10 @@ def coupling_identity_check(
         )
         obs = walk.sample_position(window, 0, (), rng, budget, n_goal=n_goal, record_path=True)
         hit = obs.hit
+        tau = obs.tau
         path = obs.path
         t_end = int(hit[-1]) - 1
-        if np.any(obs.tau % 2 != 1):
+        if np.any(tau % 2 != 1):
             odd_bad += 1
         if np.any((path + np.arange(len(path))) % 2 != 0):
             parity_bad += 1
@@ -712,7 +713,7 @@ def coupling_identity_check(
             n_t = walk.first_passage_index(obs, t)
             x_t = int(path[t])
             # approximation bound
-            if not (abs(x_t - n_t) <= t - int(hit[n_t]) < int(obs.tau[n_t])):
+            if not (abs(x_t - n_t) <= t - int(hit[n_t]) < int(tau[n_t])):
                 approx_bad += 1
             ys = {n_t - 1, n_t, n_t + 1, n_t + y_per_t}
             for y in ys:

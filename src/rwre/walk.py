@@ -5,8 +5,9 @@ and optionally the full path, one uniform per step from blocks of 16384.  Only a
 uniform between the least and greatest p the walker can reach needs its
 position; numpy takes the rest, so a trajectory, its errors and the generator
 state after it are bit for bit those of the step-by-step loop.  The moves of
-the open uniforms are gathered as bytes, and a block's steps and running record
-are built in place.
+the open uniforms are gathered as bytes, a block's steps and running record are
+built in place, and the first-passage record is one array filled in place;
+crossing times are read off it.
 Batched engines sample by inversion: the exact quenched law of T(n) or X(t)
 comes once per window from the propagation kernel in ``oracle``, and each
 replica inverts its CDF with one uniform.  Replicas draw in full-width chunks
@@ -67,18 +68,22 @@ class SimulationBudget:
 
 @dataclass(frozen=True)
 class WalkObservation:
-    """One replica's sampled crossing times, hitting times, and snapshots.
+    """One replica's first-passage record and snapshots.
 
-    ``tau[j]`` is the crossing time of edge z0+j -> z0+j+1 from the start
-    z0, and ``hit[m] = sum_{j<m} tau[j]`` (so ``hit[0] = 0``).  Snapshots
-    are (t, X(t)) pairs at the requested times; ``path[t]`` is the full
-    position record when it was requested.
+    ``hit[m]`` is the first time the walk from z0 reaches z0+m (so
+    ``hit[0] = 0``), up to the furthest site it reached.  Snapshots are
+    (t, X(t)) pairs at the requested times; ``path[t]`` is the full position
+    record when it was requested.
     """
 
-    tau: np.ndarray
     hit: np.ndarray
     snapshots: tuple[tuple[int, int], ...] = ()
     path: np.ndarray | None = None
+
+    @property
+    def tau(self) -> np.ndarray:
+        """Crossing times: ``tau[j] = hit[j+1] - hit[j]`` for edge z0+j -> z0+j+1."""
+        return np.diff(self.hit)
 
 
 def _simulate(
@@ -106,7 +111,8 @@ def _simulate(
     goal = z0 if n_stop is None else n_stop
     snaps = [(0, z0) for s in snap_times if s == 0]
     si = len(snaps)
-    fp = [np.zeros(1, dtype=np.int64)]
+    hit = np.empty(hi - z0 + 1, dtype=np.int64)  # a block stops where it reaches hi
+    hit[0] = 0
     path = [np.array([z0], dtype=np.int64)]
     sites = memoryview(window.p)  # Python floats without a copy
     x = best = z0
@@ -160,7 +166,9 @@ def _simulate(
             ends = left | done | (xs >= hi)
             if ends.any():
                 k = int(ends.argmax()) + 1
-        fp.append(t + 1 + np.flatnonzero(np.diff(record[:k], prepend=best)))
+        hit[best - z0 + 1 : record[k - 1] - z0 + 1] = (
+            t + 1 + np.flatnonzero(np.diff(record[:k], prepend=best))
+        )
         if record_path:
             path.append(xs[:k])
         while si < len(snap_times) and snap_times[si] <= t + k:
@@ -176,10 +184,8 @@ def _simulate(
                 raise RightGuardBreachError(f"walker reached right window edge {hi} at step {t}")
         x = int(xs[k - 1])
         best = int(record[k - 1])
-    hit = np.concatenate(fp)
     return WalkObservation(
-        tau=np.diff(hit),
-        hit=hit,
+        hit=hit[: best - z0 + 1],  # a view: a copy would hold the record twice
         snapshots=tuple(snaps),
         path=np.concatenate(path) if record_path else None,
     )
@@ -191,22 +197,12 @@ def sample_hitting_times(
     rng: np.random.Generator,
     budget: SimulationBudget,
 ) -> WalkObservation:
-    """Crossing times tau_0..tau_{n-1} and hitting times T(0)..T(n) from 0.
-
-    Direct simulation of one trajectory; the per-edge crossing times are
-    read off the first-passage record, so they carry the exact quenched law
-    and are independent across edges given the environment.
-    """
+    """T(0)..T(n) from 0: ``sample_position``'s joint mode with no snapshot
+    times.  The crossing times read off the record carry the exact quenched
+    law and are independent across edges given the environment."""
     if n < 1:
         raise ModelError(f"sample_hitting_times: n must be >= 1, got {n}")
-    return _simulate(
-        window,
-        0,
-        rng,
-        left_guard=budget.left_guard,
-        max_steps=budget.max_steps,
-        n_stop=n,
-    )
+    return sample_position(window, 0, (), rng, budget, n_goal=n)
 
 
 def sample_position(
@@ -222,9 +218,9 @@ def sample_position(
     """Position snapshots X(t) at the requested times from one trajectory.
 
     The observation also carries the trajectory's first-passage record
-    (``hit``, ``tau``) up to the furthest site it reached.  With ``n_goal``
-    the walk runs on until it first reaches ``n_goal``, so T(0)..T(n_goal)
-    are all recorded: the joint mode of the LLN and coupling identity checks.
+    ``hit`` up to the furthest site it reached.  With ``n_goal`` the walk
+    runs on until it first reaches ``n_goal``, so T(0)..T(n_goal) are all
+    recorded: the joint mode of the LLN and coupling identity checks.
     """
     t_list = sorted(int(t) for t in t_list)
     if t_list and t_list[0] < 0:

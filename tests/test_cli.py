@@ -422,3 +422,19 @@ class TestManifest:
         assert set(manifest["outputs"]) == {"report.json", "samples.csv", "cdf.csv"}
         for digest in manifest["outputs"].values():
             assert len(digest["sha256"]) == 64
+
+    def test_lists_only_this_runs_files(self, tmp_path, small_hitting_config):
+        # an lln run into a CLT run's directory digests its own report, and
+        # leaves the CLT run's CSVs where they were
+        out = tmp_path / "r"
+        assert main(["clt-hitting", "--config", small_hitting_config, "--out", str(out)]) == 0
+        csvs = {name: (out / name).read_bytes() for name in ("samples.csv", "cdf.csv")}
+        lln_cfg = write_config(
+            tmp_path / "lln.json", {"type": "iid_discrete", "atoms": [[0.8, 0.5], [0.6, 0.5]]},
+            {"kind": "lln", "n": 200, "t": 400},
+        )
+        assert main(["lln", "--config", lln_cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "lln"
+        assert set(manifest["outputs"]) == {"report.json"}
+        assert {name: (out / name).read_bytes() for name in csvs} == csvs

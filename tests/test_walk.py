@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,7 +99,6 @@ def stepped_simulate(window, z0, rng, *, left_guard, max_steps, n_stop=None, sna
             raise RightGuardBreachError(f"walker reached right window edge {hi} at step {t}")
     hit = np.array(fp, dtype=np.int64)
     return WalkObservation(
-        tau=np.diff(hit),
         hit=hit,
         snapshots=tuple(snaps),
         path=np.array(path, dtype=np.int64) if record_path else None,
@@ -240,6 +240,23 @@ class TestSamplePosition:
         rng = np.random.default_rng(seed)
         obs = sample_position(window, 0, t_grid, rng, budget, n_goal=n)
         assert len(obs.hit) - 1 <= top
+
+    def test_peak_memory(self):
+        # the first-passage record is held once: tracemalloc counts its whole
+        # buffer, one int64 per site from 0 to hi, plus a block's scratch, at
+        # most eight arrays of _BUF 8-byte items
+        n = 100_000
+        window = realize(IidDiscrete(((0.8, 0.5), (0.6, 0.5))), -100, n, seed=1)
+        budget = SimulationBudget(left_guard=100, max_steps=10**7)
+        sample_position(window, 0, (), np.random.default_rng(0), budget, n_goal=10)
+        tracemalloc.start()
+        try:
+            obs = sample_position(window, 0, (), np.random.default_rng(1), budget, n_goal=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(obs.hit) == n + 1
+        assert peak < 8 * (window.hi + 1) + 8 * 8 * _BUF
 
 
 PARITY_LAWS = {
@@ -428,7 +445,7 @@ class TestFirstPassageIndex:
         hit = np.concatenate([[0], np.cumsum(obs_tau)])  # (0, 1, 4, 5)
         from rwre.walk import WalkObservation
 
-        obs = WalkObservation(tau=obs_tau, hit=hit)
+        obs = WalkObservation(hit=hit)
         assert first_passage_index(obs, 3) == 1
         assert first_passage_index(obs, 1) == 1  # t = T(1): left-closed bracket
         assert first_passage_index(obs, 4) == 2
@@ -437,7 +454,7 @@ class TestFirstPassageIndex:
     def test_too_short(self):
         from rwre.walk import WalkObservation
 
-        obs = WalkObservation(tau=np.array([1]), hit=np.array([0, 1]))
+        obs = WalkObservation(hit=np.array([0, 1]))
         with pytest.raises(WindowTooSmallError):
             first_passage_index(obs, 1)
 
