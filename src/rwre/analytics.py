@@ -71,8 +71,9 @@ __all__ = [
 # relative tolerance at which the site series stop
 _SERIES_TOL = 1e-12
 _MIN_BURN = 32
-# profile block scan: sites per chunk (working arrays ~1 MB) and per block;
-# a run of up to _SCAN_BLOCK sites is one block, i.e. the sequential loop
+# block scans of the profile and of ``oracle``'s finite chain: sites per chunk
+# (working arrays ~1 MB) and per block; a run of up to _SCAN_BLOCK sites is
+# one block, i.e. the sequential loop
 _SCAN_CHUNK = 1 << 14
 _SCAN_BLOCK = 64
 # largest phase grid of the quasi-periodic circle averages

@@ -64,6 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str, args) -> ExperimentConfig:
+    """The config at ``path`` with the flags applied; ``replicas`` is
+    range-checked only for a subcommand that reads it."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -109,6 +111,7 @@ def _load_config(path: str, args) -> ExperimentConfig:
             model=model,
             env_seed=seeds.get("env"),
             walk_seed=seeds.get("walk"),
+            check_replicas=args.command in _READS_REPLICAS,
             **fields,
         )
     except TypeError as exc:
@@ -341,6 +344,9 @@ _REPORTS = {
     "diagnostics": _diagnostics_report,
     "oracle-check": _oracle_check_report,
 }
+
+# the subcommands that read ``experiment.replicas``
+_READS_REPLICAS = ("simulate", "clt-hitting", "clt-position", "oracle-check")
 
 
 def _digest(path: Path) -> dict:

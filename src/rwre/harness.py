@@ -10,7 +10,7 @@ pure function of its configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -95,7 +95,8 @@ class ExperimentConfig:
     non-negative.  ``diag_c``, ``lln_rel_tol``, ``ks_threshold`` (when set)
     and the ``x_grid`` entries are real numbers, not bools.  Grids must be
     sorted; ``n``, ``t`` and the ``t_grid`` and ``n_grid`` entries are at
-    least 1, the replica count is at least 100, the diagnostic exponent is
+    least 1, the replica count is at least 100 unless ``check_replicas`` is
+    false (a run that never reads it), the diagnostic exponent is
     positive, ``ks_threshold`` (when set) lies in (0, 1], ``lln_rel_tol`` is
     finite and positive and the ``x_grid`` entries are finite, so every
     verdict depends on the samples.  Seeds not given explicitly are derived
@@ -126,8 +127,9 @@ class ExperimentConfig:
     env_replicates: int = 1
     left_guard: int | None = None
     max_steps: int | None = None
+    check_replicas: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, check_replicas: bool) -> None:
         for name in ("n", "t", "replicas", "env_replicates", "left_guard", "max_steps"):
             value = getattr(self, name)
             if not (_is_int(value) or value is None and name in ("left_guard", "max_steps")):
@@ -143,7 +145,7 @@ class ExperimentConfig:
         for name in ("n", "t"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"experiment.{name}: must be >= 1, got {getattr(self, name)}")
-        if self.replicas < 100:
+        if check_replicas and self.replicas < 100:
             raise ConfigError(f"experiment.replicas: must be >= 100, got {self.replicas}")
         if self.centering not in ("explicit", "implicit"):
             raise ConfigError(

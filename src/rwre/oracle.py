@@ -10,7 +10,13 @@ with f = 1 for the expectation and, for the variance,
 f(x) = p_x (e(x+1) - e(x) + 1)^2 + q_x (e(x-1) - e(x) + 1)^2 built directly
 from the solved e.  The interior increments e(k) - e(k+1) and v(k) - v(k+1)
 converge (as a -> -infinity) to the per-site crossing mean and variance, so
-they serve as desk-scale ground truth for the series in ``analytics``.
+they serve as desk-scale ground truth for the series in ``analytics``.  The
+solve is the forward sweep and back substitution of the tridiagonal system,
+each run as a block scan in the layout of ``analytics``' moment scan: a
+block's transfer carries the start value across it, and every block then
+re-runs the sweep's per-site operations from its start, all blocks at once
+in numpy.  Only a carried block start can differ from a scalar sweep's, in
+the last bits.
 
 A note on the variance forcing term: rewriting f in terms of crossing means
 gives p_k (1 - mean_k)^2 + q_k (mean_{k-1} + 1)^2, but a commonly seen
@@ -35,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytics import _SCAN_BLOCK, _SCAN_CHUNK
 from .environment import EnvironmentWindow
 from .errors import (
     LeftGuardBreachError,
@@ -85,6 +92,98 @@ class FiniteChainSolution:
         return -np.diff(self.h)
 
 
+def _blocks(x, fill, bs):
+    """x as the columns of a (bs, nb) array, one block of bs sites per
+    column, the last block padded with ``fill``."""
+    full, tail = divmod(len(x), bs)
+    out = np.full((bs, full + (tail > 0)), fill)
+    out[:, :full] = x[: full * bs].reshape(full, bs).T
+    if tail:
+        out[:tail, full] = x[full * bs :]
+    return out
+
+
+def _unblock(X, out):
+    """Inverse of ``_blocks``: the first len(out) sites of X into out."""
+    m, bs = len(out), X.shape[0]
+    full, tail = divmod(m, bs)
+    out[: full * bs].reshape(full, bs)[...] = X[:, :full].T
+    if tail:
+        out[full * bs :] = X[:tail, full]
+
+
+def _carry(slope, off, x):
+    """Start value of every block of the affine scan x -> slope*x + off,
+    carried from x before the first block."""
+    starts = np.empty(len(slope))
+    for b, (s, o) in enumerate(zip(slope.tolist(), off.tolist())):
+        starts[b] = x
+        x = s * x + o
+    return starts
+
+
+def _sweep_chunk(p, f, phi_prev, d_prev, phi_out, d_out):
+    """The forward sweep over one chunk of interior sites with probabilities
+    p and forcing f; (phi_prev, d_prev) belong to the site left of p[0].
+    Fills phi_out and d_out and returns (phi, d) at the chunk's last site."""
+    bs = min(len(p), _SCAN_BLOCK)
+    P = _blocks(p, 0.5, bs)
+    F = _blocks(f, 0.0, bs)
+    Q = 1.0 - P
+    nb = P.shape[1]
+    # in psi = 1 - phi the step is psi -> q psi/(p + q psi), the Moebius map
+    # of [[q, 0], [q, p]].  A block's product, rescaled at every site so its
+    # bottom row sums to 1, is [[A, 0], [1 - D, D]]: psi -> A psi/(psi + D phi),
+    # every term positive.  A is psi from a zero phi start, and each rescale
+    # is that start's den = p + q psi.
+    A, D = np.ones(nb), np.ones(nb)
+    for j in range(bs):
+        t = Q[j] * A
+        s = P[j] + t
+        A = t / s
+        D = P[j] * D / s
+    starts = np.empty(nb)
+    x, psi = phi_prev, 1.0 - phi_prev
+    for b, (ab, db) in enumerate(zip(A.tolist(), D.tolist())):
+        starts[b] = x
+        psi = ab * psi / (psi + db * x)
+        x = 1.0 - psi
+    # every block re-runs the loop's phi from its start, keeping each den
+    PHI, DEN = np.empty_like(P), np.empty_like(P)
+    prev = starts
+    for j in range(bs):
+        den = DEN[j] = 1.0 - Q[j] * prev
+        prev = PHI[j] = P[j] / den
+    # d -> (q d + f)/den is affine: a block's slope is the product of q/den
+    # and its offset the loop run from a zero start
+    off = np.zeros(nb)
+    for j in range(bs):
+        off = (Q[j] * off + F[j]) / DEN[j]
+    prev = _carry(np.prod(Q / DEN, axis=0), off, d_prev)
+    for j in range(bs):
+        prev = F[j] = (Q[j] * prev + F[j]) / DEN[j]
+    _unblock(PHI, phi_out)
+    _unblock(F, d_out)
+    return float(phi_out[-1]), float(d_out[-1])
+
+
+def _substitute_chunk(phi, h, h_next):
+    """Back substitution h_k = phi_k h_{k+1} + d_k over one chunk, in place:
+    h holds d on entry; h_next is the solution right of the chunk.  Returns
+    the solution at the chunk's first site."""
+    bs = min(len(h), _SCAN_BLOCK)
+    PHI = _blocks(phi, 1.0, bs)  # padded sites pass h_next through unchanged
+    H = _blocks(h, 0.0, bs)
+    off = np.zeros(PHI.shape[1])
+    for j in range(bs - 1, -1, -1):
+        off = PHI[j] * off + H[j]
+    prev = _carry(np.prod(PHI, axis=0)[::-1], off[::-1], h_next)[::-1]
+    for j in range(bs - 1, -1, -1):
+        prev = H[j] = PHI[j] * prev + H[j]
+    _unblock(H, h)
+    return float(h[0])
+
+
 def solve_finite_chain(
     window: EnvironmentWindow, a: int, n: int, f_values
 ) -> FiniteChainSolution:
@@ -92,13 +191,16 @@ def solve_finite_chain(
 
     The forward sweep writes h_k = phi_k h_{k+1} + d_k with
 
-        phi_k = p_k / (1 - q_k phi_{k-1}),
-        d_k = (q_k d_{k-1} + f_k) / (1 - q_k phi_{k-1}),
+        den_k = 1 - q_k phi_{k-1},  phi_k = p_k / den_k,
+        d_k = (q_k d_{k-1} + f_k) / den_k,
 
-    seeded phi_a = d_a = 0; back substitution from h_n = 0 finishes.  d is
-    swept into ``h`` and the substitution overwrites it in place, so phi is
-    the only scratch array.  ``f_values`` holds the interior forcing f_k for
-    k = a+1..n-1.
+    seeded phi_a = d_a = 0; back substitution from h_n = 0 finishes.  Both
+    run as block scans, chunk by chunk: a block's Moebius (phi) or affine
+    (d, h) transfer carries the start value across it, then every block
+    re-runs the per-site operations above from its start.  d is swept into
+    ``h`` and the substitution overwrites it in place, so phi is the only
+    full-length scratch array.  ``f_values`` holds the interior forcing f_k
+    for k = a+1..n-1.
     """
     if not a < n:
         raise ModelError(f"solve_finite_chain: need a < n, got a={a}, n={n}")
@@ -107,32 +209,31 @@ def solve_finite_chain(
             f"window [{window.lo}, {window.hi}] does not cover [{a}, {n}]"
         )
     f = np.asarray(f_values, dtype=np.float64)
-    if f.shape != (n - a - 1,):
+    m = n - a - 1  # interior sites a+1..n-1
+    if f.shape != (m,):
         raise ModelError(
-            f"f_values must have length n - a - 1 = {n - a - 1}, got {f.shape}"
+            f"f_values must have length n - a - 1 = {m}, got {f.shape}"
         )
-    size = n - a + 1
-    p = window.p[a - window.lo : n - window.lo + 1]
-    h = np.zeros(size)
-    phi = np.zeros(size)
-    # Python floats through memoryviews: the same IEEE operations as numpy
-    # scalars, without their per-element boxing
-    pv, fv, hv, phiv = memoryview(p), memoryview(f), memoryview(h), memoryview(phi)
-    phi_k = d_k = 0.0
-    for idx in range(1, size - 1):  # interior sites a+1..n-1
-        q_k = 1.0 - pv[idx]
-        den = 1.0 - q_k * phi_k
-        phi_k = phiv[idx] = pv[idx] / den
-        d_k = hv[idx] = (q_k * d_k + fv[idx - 1]) / den
-    h_k = 0.0
-    for idx in range(size - 2, 0, -1):
-        h_k = hv[idx] = phiv[idx] * h_k + hv[idx]
-    interior = slice(1, size - 1)
-    q = 1.0 - p
-    residual = float(
-        np.max(np.abs(h[interior] - (p[interior] * h[2:] + q[interior] * h[:-2] + f)))
-    ) if size > 2 else 0.0
-    return FiniteChainSolution(a=a, n=n, h=h, residual=residual)
+    p = window.p[a + 1 - window.lo : n - window.lo]
+    h = np.zeros(m + 2)
+    phi = np.empty(m)
+    chunks = [(lo, min(lo + _SCAN_CHUNK, m)) for lo in range(0, m, _SCAN_CHUNK)]
+    state = (0.0, 0.0)
+    for lo, hi in chunks:
+        state = _sweep_chunk(p[lo:hi], f[lo:hi], *state, phi[lo:hi], h[lo + 1 : hi + 1])
+    h_next = 0.0
+    for lo, hi in reversed(chunks):
+        h_next = _substitute_chunk(phi[lo:hi], h[lo + 1 : hi + 1], h_next)
+    residual = 0.0
+    for lo, hi in chunks:  # h_k - (p_k h_{k+1} + q_k h_{k-1} + f_k), chunk by chunk
+        r = p[lo:hi] * h[lo + 2 : hi + 2]
+        q = 1.0 - p[lo:hi]
+        q *= h[lo:hi]
+        r += q
+        r += f[lo:hi]
+        np.subtract(h[lo + 1 : hi + 1], r, out=r)
+        residual = np.maximum(residual, np.abs(r, out=r).max())  # NaN propagates
+    return FiniteChainSolution(a=a, n=n, h=h, residual=float(residual))
 
 
 def expected_hitting_times(window: EnvironmentWindow, a: int, n: int) -> FiniteChainSolution:
@@ -141,11 +242,20 @@ def expected_hitting_times(window: EnvironmentWindow, a: int, n: int) -> FiniteC
 
 
 def _variance_forcing(window: EnvironmentWindow, e: FiniteChainSolution) -> np.ndarray:
-    """Interior forcing f_k = p_k (e(k+1) - e(k) + 1)^2 + q_k (e(k-1) - e(k) + 1)^2."""
-    p = window.p[e.a - window.lo : e.n - window.lo + 1]
-    q = 1.0 - p
+    """Interior forcing f_k = p_k (e(k+1) - e(k) + 1)^2 + q_k (e(k-1) - e(k) + 1)^2,
+    built in place in two arrays."""
+    p = window.p[e.a + 1 - window.lo : e.n - window.lo]
     h = e.h
-    return p[1:-1] * (h[2:] - h[1:-1] + 1.0) ** 2 + q[1:-1] * (h[:-2] - h[1:-1] + 1.0) ** 2
+    f = h[2:] - h[1:-1]
+    f += 1.0
+    np.square(f, out=f)
+    f *= p
+    back = h[:-2] - h[1:-1]
+    back += 1.0
+    np.square(back, out=back)
+    back *= 1.0 - p
+    f += back
+    return f
 
 
 def forcing_terms(window: EnvironmentWindow, e: FiniteChainSolution) -> dict:

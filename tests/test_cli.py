@@ -125,6 +125,24 @@ class TestErrors:
             assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
             assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,experiment", [
+        ("lln", {"kind": "lln", "n": 200, "t": 400}),
+        ("diagnostics", {"kind": "diagnostics", "t_grid": [100, 1000], "n_grid": [10, 100]}),
+        ("analyze", {}),
+    ])
+    def test_replicas_unread_is_not_range_checked(self, tmp_path, command, experiment):
+        # none of these reads replicas, so a count below 100 is no error
+        cfg = write_config(tmp_path / "c.json", {"type": "constant", "p": 0.75},
+                           {**experiment, "replicas": 50})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_replicas_read_is_range_checked(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"type": "constant", "p": 0.75},
+                           {"kind": "clt_hitting", "n": 200, "replicas": 50})
+        assert main(["clt-hitting", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "experiment.replicas" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2

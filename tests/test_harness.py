@@ -92,6 +92,9 @@ class TestConfig:
     def test_validation(self, two_point):
         with pytest.raises(ConfigError):
             ExperimentConfig(model=two_point, replicas=50)
+        with pytest.raises(ConfigError):  # still type-checked when unread
+            ExperimentConfig(model=two_point, replicas=50.0, check_replicas=False)
+        assert ExperimentConfig(model=two_point, replicas=50, check_replicas=False).replicas == 50
         with pytest.raises(ConfigError):
             ExperimentConfig(model=two_point, centering="middle")
         with pytest.raises(ConfigError):

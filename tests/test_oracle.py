@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rwre.environment import (
 from rwre.errors import ModelError, WindowTooSmallError
 from rwre.oracle import (
     LAW_EPS,
+    FiniteChainSolution,
     TRIM_EVERY,
     _propagate,
     exact_position_distribution,
@@ -87,6 +89,46 @@ def lockstep_positions(window, z0, t, n_replicas, seed):
     return x
 
 
+def stepped_solve(window, a, n, f_values):
+    """Reference: ``solve_finite_chain`` as it ran before the block scan, one
+    scalar forward sweep and one back substitution over memoryviews, verbatim."""
+    f = np.asarray(f_values, dtype=np.float64)
+    size = n - a + 1
+    p = window.p[a - window.lo : n - window.lo + 1]
+    h = np.zeros(size)
+    phi = np.zeros(size)
+    pv, fv, hv, phiv = memoryview(p), memoryview(f), memoryview(h), memoryview(phi)
+    phi_k = d_k = 0.0
+    for idx in range(1, size - 1):  # interior sites a+1..n-1
+        q_k = 1.0 - pv[idx]
+        den = 1.0 - q_k * phi_k
+        phi_k = phiv[idx] = pv[idx] / den
+        d_k = hv[idx] = (q_k * d_k + fv[idx - 1]) / den
+    h_k = 0.0
+    for idx in range(size - 2, 0, -1):
+        h_k = hv[idx] = phiv[idx] * h_k + hv[idx]
+    interior = slice(1, size - 1)
+    q = 1.0 - p
+    residual = float(
+        np.max(np.abs(h[interior] - (p[interior] * h[2:] + q[interior] * h[:-2] + f)))
+    ) if size > 2 else 0.0
+    return FiniteChainSolution(a=a, n=n, h=h, residual=residual)
+
+
+def assert_close_to_references(window, a, n, f):
+    """``solve_finite_chain`` agrees with the scalar sweep and with LAPACK to
+    1e-12 relative at every interior site; returns its solution."""
+    sol = solve_finite_chain(window, a, n, f)
+    refs = [stepped_solve(window, a, n, f).h]
+    if n - a > 1:
+        refs.append(banded_reference(window, a, n, f))
+    assert sol.h[0] == sol.h[-1] == 0.0
+    for ref in refs:
+        gap = np.abs(sol.h[1:-1] - ref[1:-1])
+        assert np.all(gap <= 1e-12 * np.abs(ref[1:-1]))
+    return sol
+
+
 class TestSolveFiniteChain:
     def test_zero_forcing(self):
         w = realize(Constant(0.75), -50, 20, seed=0)
@@ -123,6 +165,41 @@ class TestSolveFiniteChain:
                 ref = banded_reference(w, -2000, 20000, f)
                 gap = np.abs(sol.h[1:-1] - ref[1:-1])
                 assert np.all(gap <= 1e-12 * np.abs(ref[1:-1]))
+
+    @pytest.mark.parametrize("interior", [0, 1, 2, 63, 64, 65, 129, 16385])
+    def test_block_scan_matches_references(self, two_point, interior):
+        # around one block (64 sites) and one chunk (16384) of the scan
+        w = realize(two_point, -20, interior + 20, seed=interior)
+        f = np.random.default_rng(interior).uniform(0.0, 3.0, size=interior)
+        sol = assert_close_to_references(w, -5, interior - 4, f)
+        if interior <= 64:  # one block is the scalar sweep, bit for bit
+            ref = stepped_solve(w, -5, interior - 4, f)
+            assert sol.h.tobytes() == ref.h.tobytes()
+            assert sol.residual == ref.residual
+
+    @pytest.mark.parametrize("model,a,n", [
+        (Constant(0.3), -10, 3000),
+        (IidDiscrete(atoms=((0.45, 0.5), (0.3, 0.5))), -10, 5000),
+    ], ids=["constant-0.3", "iid-left"])
+    def test_left_drift_chains(self, model, a, n):
+        # the walk drifts to the left end: e and v grow toward n, and products
+        # of q/p over the chain overflow
+        w = realize(model, a - 5, n + 5, seed=3)
+        e = assert_close_to_references(w, a, n, np.ones(n - a - 1))
+        assert_close_to_references(w, a, n, forcing_terms(w, e)["derived"])
+
+    def test_variance_peak_memory(self, two_point):
+        # the library chain of the analysis benchmark: e, the forcing, v and
+        # phi are the only full-length arrays, so the peak stays under six
+        a, n = -2000, 200_000
+        w = realize(two_point, a, n, seed=1)
+        tracemalloc.start()
+        try:
+            hitting_time_variances(w, a, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * (n - a + 1)
 
     def test_argument_validation(self):
         w = realize(Constant(0.75), -10, 10, seed=0)
