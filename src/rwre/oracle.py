@@ -136,12 +136,13 @@ def _sweep_chunk(p, f, phi_prev, d_prev, phi_out, d_out):
     # bottom row sums to 1, is [[A, 0], [1 - D, D]]: psi -> A psi/(psi + D phi),
     # every term positive.  A is psi from a zero phi start, and each rescale
     # is that start's den = p + q psi.
-    A, D = np.ones(nb), np.ones(nb)
-    for j in range(bs):
-        t = Q[j] * A
-        s = P[j] + t
-        A = t / s
-        D = P[j] * D / s
+    A, D, s = np.ones(nb), np.ones(nb), np.empty(nb)
+    for p_j, q_j in zip(P, Q):
+        A *= q_j
+        np.add(p_j, A, out=s)
+        A /= s
+        D *= p_j
+        D /= s
     starts = np.empty(nb)
     x, psi = phi_prev, 1.0 - phi_prev
     for b, (ab, db) in enumerate(zip(A.tolist(), D.tolist())):
@@ -151,17 +152,22 @@ def _sweep_chunk(p, f, phi_prev, d_prev, phi_out, d_out):
     # every block re-runs the loop's phi from its start, keeping each den
     PHI, DEN = np.empty_like(P), np.empty_like(P)
     prev = starts
-    for j in range(bs):
-        den = DEN[j] = 1.0 - Q[j] * prev
-        prev = PHI[j] = P[j] / den
+    for p_j, q_j, phi_j, den_j in zip(P, Q, PHI, DEN):
+        np.multiply(q_j, prev, out=den_j)
+        np.subtract(1.0, den_j, out=den_j)
+        prev = np.divide(p_j, den_j, out=phi_j)
     # d -> (q d + f)/den is affine: a block's slope is the product of q/den
     # and its offset the loop run from a zero start
     off = np.zeros(nb)
-    for j in range(bs):
-        off = (Q[j] * off + F[j]) / DEN[j]
+    for q_j, f_j, den_j in zip(Q, F, DEN):
+        off *= q_j
+        off += f_j
+        off /= den_j
     prev = _carry(np.prod(Q / DEN, axis=0), off, d_prev)
-    for j in range(bs):
-        prev = F[j] = (Q[j] * prev + F[j]) / DEN[j]
+    for q_j, f_j, den_j in zip(Q, F, DEN):  # F becomes d
+        f_j += q_j * prev
+        f_j /= den_j
+        prev = f_j
     _unblock(PHI, phi_out)
     _unblock(F, d_out)
     return float(phi_out[-1]), float(d_out[-1])
@@ -175,11 +181,13 @@ def _substitute_chunk(phi, h, h_next):
     PHI = _blocks(phi, 1.0, bs)  # padded sites pass h_next through unchanged
     H = _blocks(h, 0.0, bs)
     off = np.zeros(PHI.shape[1])
-    for j in range(bs - 1, -1, -1):
-        off = PHI[j] * off + H[j]
+    for phi_j, h_j in zip(PHI[::-1], H[::-1]):
+        off *= phi_j
+        off += h_j
     prev = _carry(np.prod(PHI, axis=0)[::-1], off[::-1], h_next)[::-1]
-    for j in range(bs - 1, -1, -1):
-        prev = H[j] = PHI[j] * prev + H[j]
+    for phi_j, h_j in zip(PHI[::-1], H[::-1]):
+        h_j += phi_j * prev
+        prev = h_j
     _unblock(H, h)
     return float(h[0])
 
