@@ -215,6 +215,37 @@ def _burn_start(window: EnvironmentWindow, k0: int) -> int:
     )
 
 
+def _blocks(x, fill, bs):
+    """x as the columns of a (bs, nb) array, one block of bs sites per
+    column, the last block padded with ``fill``."""
+    full, tail = divmod(len(x), bs)
+    out = np.full((bs, full + (tail > 0)), fill)
+    out[:, :full] = x[: full * bs].reshape(full, bs).T
+    if tail:
+        out[:tail, full] = x[full * bs :]
+    return out
+
+
+def _unblock(X, out):
+    """Inverse of ``_blocks``: the first len(out) sites of X into out."""
+    m, bs = len(out), X.shape[0]
+    full, tail = divmod(m, bs)
+    out[: full * bs].reshape(full, bs)[...] = X[:, :full].T
+    if tail:
+        out[full * bs :] = X[:tail, full]
+
+
+def _carry(slope, off, x):
+    """Start value of every block of the affine scan x -> slope*x + off,
+    carried from x before the first block.  Where every term is positive,
+    the carried starts cancel nothing."""
+    starts = np.empty(len(slope))
+    for b, (s, o) in enumerate(zip(slope.tolist(), off.tolist())):
+        starts[b] = x
+        x = s * x + o
+    return starts
+
+
 def _scan_chunk(p, state, mu_out, var_out, h_out):
     """Block scan of the one-step recursions over sites with probabilities p.
 
@@ -223,30 +254,18 @@ def _scan_chunk(p, state, mu_out, var_out, h_out):
     bs sites are the columns of (bs, nb) arrays, so row j holds the j-th site
     of every block and each numpy step advances all blocks by one site.
     """
-    m = len(p)
-    bs = min(m, _SCAN_BLOCK)
-    nb = -(-m // bs)
-    q = np.concatenate([p, np.full(nb * bs - m, 0.5)])  # pads the last block
-    q = np.ascontiguousarray(q.reshape(nb, bs).T)
+    bs = min(len(p), _SCAN_BLOCK)
+    q = _blocks(p, 0.5, bs)
+    nb = q.shape[1]
     a = (1.0 - q) / q
     inv_p = 1.0 / q
-    prod = np.prod(a, axis=0).tolist()  # underflow to 0 only drops a forgotten start
+    prod = np.prod(a, axis=0)  # underflow to 0 only drops a forgotten start
     mu0, var0, s, c = state
-
-    def carry(offset, x):
-        # block transfer x -> prod*x + offset: every term is positive, so the
-        # carried starts cancel nothing
-        starts = np.empty(nb)
-        for b, (pb, ob) in enumerate(zip(prod, offset.tolist())):
-            starts[b] = x
-            x = pb * x + ob
-        return starts
-
     # means: offsets from a zero start, carry, then the loop's mu = a*mu + 1/p
     off = np.zeros(nb)
     for j in range(bs):
         off = a[j] * off + inv_p[j]
-    prev = mu_start = carry(off, mu0)
+    prev = mu_start = _carry(prod, off, mu0)
     mu = np.empty((bs, nb))
     for j in range(bs):
         prev = mu[j] = a[j] * prev + inv_p[j]
@@ -256,11 +275,11 @@ def _scan_chunk(p, state, mu_out, var_out, h_out):
     off = np.zeros(nb)
     for j in range(bs):
         off = a[j] * (off + var[j])
-    prev = carry(off, var0)
+    prev = _carry(prod, off, var0)
     for j in range(bs):
         prev = var[j] = a[j] * (prev + var[j])
-    mu_out[:] = mu.T.reshape(-1)[:m]
-    var_out[:] = var.T.reshape(-1)[:m]
+    _unblock(mu, mu_out)
+    _unblock(var, var_out)
     # H: the loop's Neumaier sum.  Its running sum adds in site order, as
     # cumsum does, and each addition's rounding error is exact (TwoSum), so
     # both sequences are the loop's bit for bit.

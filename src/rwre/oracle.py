@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import _SCAN_BLOCK, _SCAN_CHUNK
+from .analytics import _SCAN_BLOCK, _SCAN_CHUNK, _blocks, _carry, _unblock
 from .environment import EnvironmentWindow
 from .errors import (
     LeftGuardBreachError,
@@ -90,36 +90,6 @@ class FiniteChainSolution:
     def increments(self) -> np.ndarray:
         """h(k) - h(k+1) for k = a..n-1 (per-edge contributions)."""
         return -np.diff(self.h)
-
-
-def _blocks(x, fill, bs):
-    """x as the columns of a (bs, nb) array, one block of bs sites per
-    column, the last block padded with ``fill``."""
-    full, tail = divmod(len(x), bs)
-    out = np.full((bs, full + (tail > 0)), fill)
-    out[:, :full] = x[: full * bs].reshape(full, bs).T
-    if tail:
-        out[:tail, full] = x[full * bs :]
-    return out
-
-
-def _unblock(X, out):
-    """Inverse of ``_blocks``: the first len(out) sites of X into out."""
-    m, bs = len(out), X.shape[0]
-    full, tail = divmod(m, bs)
-    out[: full * bs].reshape(full, bs)[...] = X[:, :full].T
-    if tail:
-        out[full * bs :] = X[:tail, full]
-
-
-def _carry(slope, off, x):
-    """Start value of every block of the affine scan x -> slope*x + off,
-    carried from x before the first block."""
-    starts = np.empty(len(slope))
-    for b, (s, o) in enumerate(zip(slope.tolist(), off.tolist())):
-        starts[b] = x
-        x = s * x + o
-    return starts
 
 
 def _sweep_chunk(p, f, phi_prev, d_prev, phi_out, d_out):

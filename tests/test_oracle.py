@@ -90,8 +90,9 @@ def lockstep_positions(window, z0, t, n_replicas, seed):
 
 
 def stepped_solve(window, a, n, f_values):
-    """Reference: ``solve_finite_chain`` as it ran before the block scan, one
-    scalar forward sweep and one back substitution over memoryviews, verbatim."""
+    """Reference: ``solve_finite_chain`` as it ran before the block scan, its
+    argument checks left out: one scalar forward sweep and one back
+    substitution over memoryviews, and the residual, verbatim."""
     f = np.asarray(f_values, dtype=np.float64)
     size = n - a + 1
     p = window.p[a - window.lo : n - window.lo + 1]
@@ -187,6 +188,17 @@ class TestSolveFiniteChain:
         w = realize(model, a - 5, n + 5, seed=3)
         e = assert_close_to_references(w, a, n, np.ones(n - a - 1))
         assert_close_to_references(w, a, n, forcing_terms(w, e)["derived"])
+
+    def test_zero_drift_closed_form(self):
+        # p = 1/2: phi_k = (k - a)/(k - a + 1) approaches 1 only like 1/k, and
+        # e(x) = (x - a)(n - x); a block start carried in phi itself instead of
+        # 1 - phi was 1e-11 off here
+        a, n = -1000, 1000
+        w = realize(Constant(0.5), a, n, seed=0)
+        e = expected_hitting_times(w, a, n)
+        x = np.arange(a + 1, n)
+        exact = (x - a) * (n - x).astype(float)
+        assert np.all(np.abs(e.h[1:-1] - exact) <= 1e-12 * exact)
 
     def test_variance_peak_memory(self, two_point):
         # the library chain of the analysis benchmark: e, the forcing, v and
