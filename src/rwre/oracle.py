@@ -26,12 +26,14 @@ unswapped variant matches, and the oracle always builds f from the solved e.
 
 One banded forward propagation kernel gives the quenched laws of X(t)
 (``position_law``) and of T(n) (``hitting_law``, absorbing at n and
-recording the mass absorbed at each step) in O(steps * band); both laws are
-inverted by the batch samplers in ``walk``.  The T(n) law may stop once its
-CDF passes a target (the largest uniform to invert), since no later step
-changes any sample.  The Monte Carlo route estimates
-single-edge crossing moments with standard errors.  Together they
-adjudicate every formula discrepancy flagged upstream.
+recording the mass absorbed at each step) in O(steps * band).  One inversion,
+``_invert_law``, turns a law and a uniform per sample into samples, with one
+rule for guard and step-cap errors; the batch samplers in ``walk`` use it.
+The T(n) law may stop once its CDF passes a target (the largest uniform to
+invert), since no later step changes any sample.  The Monte Carlo route
+estimates single-edge crossing moments with standard errors by inverting the
+same kernel's crossing law.  Together they adjudicate every formula
+discrepancy flagged upstream.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ __all__ = [
 ]
 
 LAW_EPS = 1e-30
-_MC_MAX_ROUNDS = 10_000_000  # crossing rounds before the Monte Carlo route gives up
+_MC_MAX_STEPS = 10_000_000  # the step cap of the Monte Carlo crossing law
 
 
 @dataclass(frozen=True)
@@ -369,6 +371,22 @@ def _propagate(window: EnvironmentWindow, z0: int, steps: int, left_guard: int |
     return start, buf[a:b].copy(), absorbed, dropped, np.array(hits)
 
 
+def _invert_law(masses, absorbed, alive, u, n_replicas, left_guard) -> np.ndarray:
+    """Each replica's cell of a law by inverting its CDF with its uniform of
+    ``u[:n_replicas]``, laid out as ``masses``, then the mass absorbed at
+    -left_guard, then the mass ``alive`` when the law stopped.  Any uniform of
+    ``u`` (the batch samplers pass whole chunks) in the absorbed mass, or
+    beyond it while mass is alive, raises (the guard first); one in the
+    dropped mass takes the last cell."""
+    cdf = np.cumsum(masses)
+    beyond = u[u >= cdf[-1]] if masses.size else u
+    if not masses.size or (beyond < cdf[-1] + absorbed).any():
+        raise LeftGuardBreachError(f"a walker reached the left guard {-left_guard}; enlarge the guard")
+    if alive > 0.0 and beyond.size:
+        raise StepBudgetExceededError(f"a walker was still running after max_steps={masses.size - 1}")
+    return np.minimum(np.searchsorted(cdf, u[:n_replicas], side="right"), masses.size - 1)
+
+
 def position_law(window: EnvironmentWindow, z0: int, t: int, left_guard: int | None = None):
     """Quenched law of X(t) from z0, absorbed at -left_guard if given: (start,
     masses, absorbed, dropped), masses[i] = P(X(t) = start + 2i, no absorption)."""
@@ -420,47 +438,33 @@ def mc_crossing_moments(
     n_samples: int,
     seed: int,
 ) -> MomentEstimate:
-    """Direct simulation of n_samples crossings of edge k -> k+1.
+    """Monte Carlo witness: n_samples crossing times of edge k -> k+1.
 
-    All replicas start at k and run until first reaching k+1; active
-    replicas are compacted each round so the cost is proportional to the
-    total number of steps.  The variance standard error uses the fourth
-    central moment.
+    The crossing law is the hitting law of k + 1 from k, absorbed at
+    ``window.lo`` and cut at _MC_MAX_STEPS steps, propagated only until its
+    CDF passes the largest uniform; each sample inverts it with one uniform
+    (``_invert_law``).  The moments are sums over the law's steps weighted by
+    the sample counts; the variance standard error uses the fourth central
+    moment.
     """
+    if n_samples < 2:
+        raise ModelError(f"mc_crossing_moments: n_samples must be >= 2, got {n_samples}")
     if k < window.lo + 1 or k + 1 > window.hi:
         raise WindowTooSmallError(f"edge {k} -> {k + 1} not inside window")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
-    p = window.p
-    lo = window.lo
-    steps = np.zeros(n_samples, dtype=np.int64)
-    idx = np.arange(n_samples)
-    x = np.full(n_samples, k, dtype=np.int64)
-    target = k + 1
-    for _ in range(_MC_MAX_ROUNDS):
-        u = rng.random(len(idx))
-        x += np.where(u < p[x - lo], 1, -1)
-        if x.min() <= lo:
-            raise LeftGuardBreachError(
-                f"a crossing replica reached the window edge {lo}; extend the window left"
-            )
-        steps[idx] += 1
-        done = x == target
-        if done.any():
-            idx = idx[~done]
-            x = x[~done]
-            if len(idx) == 0:
-                break
-    else:
-        raise StepBudgetExceededError(
-            f"{len(idx)} crossings unfinished after {_MC_MAX_ROUNDS} rounds"
-        )
-    mean = float(steps.mean())
-    var = float(steps.var(ddof=1))
+    u = rng.random(n_samples)
+    _, masses, absorbed, _, pmf = _propagate(window, k, _MC_MAX_STEPS, -window.lo, k + 1,
+                                             float(u.max()))
+    counts = np.bincount(_invert_law(pmf, absorbed, float(masses.sum()), u, n_samples, -window.lo))
+    steps = np.arange(counts.size)
+    mean = float(counts @ steps) / n_samples
     centered = steps - mean
-    m4 = float(np.mean(centered**4))
+    sq = centered * centered
+    var = float(counts @ sq) / (n_samples - 1)
+    m4 = float(counts @ (sq * sq)) / n_samples
     return MomentEstimate(
         mean=mean,
-        mean_se=float(steps.std(ddof=1) / math.sqrt(n_samples)),
+        mean_se=math.sqrt(var / n_samples),
         variance=var,
         variance_se=math.sqrt(max(m4 - var**2, 0.0) / n_samples),
         n_samples=n_samples,

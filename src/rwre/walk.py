@@ -10,7 +10,7 @@ built in place, and the first-passage record is one array filled in place;
 crossing times are read off it.
 Batched engines sample by inversion: the exact quenched law of T(n) or X(t)
 comes once per window from the propagation kernel in ``oracle``, and each
-replica inverts its CDF with one uniform.  Replicas draw in full-width chunks
+replica inverts its CDF with one uniform through ``oracle._invert_law``.  Replicas draw in full-width chunks
 of 1024, chunk c on the generator spawned with key (c,), so every replica's
 result is a pure function of (master seed, replica index).  The CDF lists the
 law's cells first, then the guard and step-cap masses, so the T(n) law is
@@ -35,7 +35,7 @@ from .errors import (
     StepBudgetExceededError,
     WindowTooSmallError,
 )
-from .oracle import hitting_law, position_law
+from .oracle import _invert_law, hitting_law, position_law
 
 __all__ = [
     "SimulationBudget",
@@ -256,23 +256,10 @@ def first_passage_index(observation: WalkObservation, t: float) -> int:
 def _uniforms(master_seed, n_replicas) -> np.ndarray:
     """The uniforms of every full-width chunk: chunk c draws REPLICA_CHUNK
     from the generator spawned with key (c,)."""
+    if n_replicas < 1:
+        raise ModelError(f"n_replicas: must be >= 1, got {n_replicas}")
     chunks = np.random.SeedSequence(master_seed).spawn(-(-n_replicas // REPLICA_CHUNK))
     return np.concatenate([np.random.default_rng(seq).random(REPLICA_CHUNK) for seq in chunks])
-
-
-def _invert_law(masses, absorbed, alive, u, n_replicas, left_guard) -> np.ndarray:
-    """Each replica's cell of a law by inverting its CDF with its uniform of
-    ``u``, laid out as ``masses``, then the mass absorbed at -left_guard, then
-    the mass ``alive`` when the law stopped.  A uniform of a full-width chunk
-    in the absorbed mass, or beyond it while mass is alive, raises (the guard
-    first); one in the dropped mass takes the last cell."""
-    cdf = np.cumsum(masses)
-    beyond = u[u >= cdf[-1]] if masses.size else u
-    if not masses.size or (beyond < cdf[-1] + absorbed).any():
-        raise LeftGuardBreachError(f"a walker reached the left guard {-left_guard}; enlarge the guard")
-    if alive > 0.0 and beyond.size:
-        raise StepBudgetExceededError(f"a walker was still running after max_steps={masses.size - 1}")
-    return np.minimum(np.searchsorted(cdf, u[:n_replicas], side="right"), masses.size - 1)
 
 
 def batch_hitting_times(
@@ -311,8 +298,8 @@ def batch_positions(
     """
     if left_guard < 1:
         raise ModelError(f"left_guard: must be >= 1, got {left_guard}")
-    start, masses, absorbed, _ = position_law(window, 0, t_steps, left_guard)
     u = _uniforms(master_seed, n_replicas)
+    start, masses, absorbed, _ = position_law(window, 0, t_steps, left_guard)
     return start + 2 * _invert_law(masses, absorbed, 0.0, u, n_replicas, left_guard)
 
 

@@ -19,7 +19,7 @@ from rwre.environment import (
     suggested_burn_in,
     suggested_left_guard,
 )
-from rwre.errors import ModelError, WindowTooSmallError
+from rwre.errors import LeftGuardBreachError, ModelError, WindowTooSmallError
 from rwre.oracle import (
     LAW_EPS,
     FiniteChainSolution,
@@ -198,6 +198,21 @@ class TestSolveFiniteChain:
         e = expected_hitting_times(w, a, n)
         x = np.arange(a + 1, n)
         exact = (x - a) * (n - x).astype(float)
+        assert np.all(np.abs(e.h[1:-1] - exact) <= 1e-12 * exact)
+
+    @pytest.mark.parametrize("p,a,n", [
+        (0.3, -1000, 1000), (0.45, -2000, 1000), (0.6, -1000, 3000), (0.75, -3000, 3000),
+    ])
+    def test_drift_closed_form(self, p, a, n):
+        # gambler's ruin: e(x) = (x - a)/(q - p) - (n - a)/(q - p) (1 - r^(x - a))/(1 - r^(n - a))
+        # with r = q/p, in long double; LAPACK shares the sweep's rounding, so
+        # it is no yardstick for accuracy
+        w = realize(Constant(p), a, n, seed=0)
+        e = expected_hitting_times(w, a, n)
+        pl = np.longdouble(p)
+        ql = 1 - pl
+        z = np.arange(1, n - a, dtype=np.longdouble)
+        exact = (z - (n - a) * (1 - (ql / pl) ** z) / (1 - (ql / pl) ** (n - a))) / (ql - pl)
         assert np.all(np.abs(e.h[1:-1] - exact) <= 1e-12 * exact)
 
     def test_variance_peak_memory(self, two_point):
@@ -621,3 +636,43 @@ class TestMcCrossingMoments:
         est = mc_crossing_moments(w, k, 400_000, seed=9)
         assert est.mean == pytest.approx(mu_oracle, abs=3 * est.mean_se)
         assert est.variance == pytest.approx(var_oracle, abs=3 * est.variance_se)
+
+    def test_moments_are_sample_formulas(self, two_point):
+        # the witness's sample is the law of T(1) from 0, guarded at window.lo,
+        # inverted with its uniforms; its count-weighted moments are numpy's
+        # sample formulas on that sample
+        w = realize(two_point, -150, 5, seed=1)
+        n, seed = 50_000, 31
+        est = mc_crossing_moments(w, 0, n, seed)
+        u = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,))).random(n)
+        pmf, _, _, _ = hitting_law(w, 1, -w.lo, 10**7, target=float(u.max()))
+        sample = np.searchsorted(np.cumsum(pmf), u, side="right")
+        var = sample.var(ddof=1)
+        m4 = np.mean((sample - sample.mean()) ** 4)
+        expected = (sample.mean(), sample.std(ddof=1) / math.sqrt(n), var,
+                    math.sqrt((m4 - var**2) / n))
+        got = (est.mean, est.mean_se, est.variance, est.variance_se)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert est.n_samples == n
+
+    def test_same_seed_same_estimate(self, two_point):
+        w = realize(two_point, -150, 5, seed=1)
+        assert mc_crossing_moments(w, 0, 20_000, 5) == mc_crossing_moments(w, 0, 20_000, 5)
+
+    def test_left_guard_breach(self):
+        # the walker steps from k onto window.lo with probability 1/4
+        w = realize(Constant(0.75), -1, 5, seed=0)
+        with pytest.raises(LeftGuardBreachError):
+            mc_crossing_moments(w, 0, 1000, seed=1)
+
+    def test_edge_at_window_end(self):
+        w = realize(Constant(0.75), -10, 5, seed=0)
+        for k in (w.lo, w.hi):
+            with pytest.raises(WindowTooSmallError):
+                mc_crossing_moments(w, k, 1000, seed=1)
+
+    def test_sample_count_below_two(self):
+        w = realize(Constant(0.75), -120, 5, seed=0)
+        for n_samples in (-1, 0, 1):
+            with pytest.raises(ModelError):
+                mc_crossing_moments(w, 0, n_samples, seed=1)

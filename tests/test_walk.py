@@ -560,6 +560,13 @@ class TestBatchEngines:
         with pytest.raises(LeftGuardBreachError):
             batch_positions(sink, 12, 1, 200, 3)
 
+    def test_replica_count_below_one(self, window_75):
+        for n_replicas in (0, -1):
+            with pytest.raises(ModelError):
+                batch_hitting_times(window_75, 50, 1, n_replicas, BUDGET)
+            with pytest.raises(ModelError):
+                batch_positions(window_75, 50, 1, n_replicas, BUDGET.left_guard)
+
     def test_batch_left_guard_breach(self, window_75):
         # each replica's walker steps left of 0 with probability 1/4
         with pytest.raises(LeftGuardBreachError):
