@@ -26,14 +26,13 @@ unswapped variant matches, and the oracle always builds f from the solved e.
 
 One banded forward propagation kernel gives the quenched laws of X(t)
 (``position_law``) and of T(n) (``hitting_law``, absorbing at n and
-recording the mass absorbed at each step) in O(steps * band).  One inversion,
-``_invert_law``, turns a law and a uniform per sample into samples, with one
-rule for guard and step-cap errors; the batch samplers in ``walk`` use it.
-The T(n) law may stop once its CDF passes a target (the largest uniform to
-invert), since no later step changes any sample.  The Monte Carlo route
-estimates single-edge crossing moments with standard errors by inverting the
-same kernel's crossing law.  Together they adjudicate every formula
-discrepancy flagged upstream.
+recording the mass absorbed at each step) in O(steps * band).  ``_invert_law``
+turns a law and one uniform per sample into samples, with one rule for guard
+and step-cap errors, for the batch samplers in ``walk`` and for the Monte Carlo
+route, which estimates single-edge crossing moments with standard errors from
+the kernel's crossing law.  The T(n) law may stop once its CDF passes a target
+(the largest uniform to invert), since no later step changes any sample.
+Together they adjudicate every formula discrepancy flagged upstream.
 """
 
 from __future__ import annotations

@@ -10,11 +10,12 @@ built in place, and the first-passage record is one array filled in place;
 crossing times are read off it.
 Batched engines sample by inversion: the exact quenched law of T(n) or X(t)
 comes once per window from the propagation kernel in ``oracle``, and each
-replica inverts its CDF with one uniform through ``oracle._invert_law``.  Replicas draw in full-width chunks
-of 1024, chunk c on the generator spawned with key (c,), so every replica's
-result is a pure function of (master seed, replica index).  The CDF lists the
-law's cells first, then the guard and step-cap masses, so the T(n) law is
-propagated only until its CDF passes the largest uniform.
+replica inverts its CDF with one uniform (``oracle._invert_law``).  Replicas
+draw in full-width chunks of 1024, chunk c on the generator spawned with key
+(c,), so every replica's result is a pure function of (master seed, replica
+index).  The CDF lists the law's cells first, then the guard and step-cap
+masses, so the T(n) law is propagated only until its CDF passes the largest
+uniform.
 
 Guard breaches are hard errors, never silent reflections: reflecting at a
 boundary would bias crossing times.  The batched engines raise the guard and

@@ -200,6 +200,8 @@ class TestSolveFiniteChain:
         exact = (x - a) * (n - x).astype(float)
         assert np.all(np.abs(e.h[1:-1] - exact) <= 1e-12 * exact)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="the reference needs an extended-precision long double")
     @pytest.mark.parametrize("p,a,n", [
         (0.3, -1000, 1000), (0.45, -2000, 1000), (0.6, -1000, 3000), (0.75, -3000, 3000),
     ])
