@@ -9,12 +9,17 @@ sampling experiments samples.csv and cdf.csv.
 Exit codes: 0 success, 2 configuration error, 3 eligibility error,
 4 numerical non-convergence, 5 guard breach or step budget; each error class
 in ``rwre.errors`` carries its code and the label printed to stderr.
+
+Importing this module ends with ``gc.freeze()``, so the cyclic collections
+of a run and of interpreter exit skip the roughly 22,000 objects the imports
+leave alive; reference counting still frees them.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -389,6 +394,9 @@ def main(argv=None) -> int:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
 
+
+# the import-time heap lives for the whole process: keep it out of every collection
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

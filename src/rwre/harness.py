@@ -240,11 +240,17 @@ class ExperimentReport:
 
 
 def _left_guard(config: ExperimentConfig) -> int:
-    return config.left_guard if config.left_guard is not None else suggested_left_guard(config.model)
+    if config.left_guard is None:
+        return suggested_left_guard(config.model)
+    if config.left_guard < 1:
+        raise ConfigError(f"experiment.left_guard: must be >= 1, got {config.left_guard}")
+    return config.left_guard
 
 
 def _budget(config: ExperimentConfig, default_max_steps: int) -> SimulationBudget:
     """Step cap ``config.max_steps`` when set (0 is rejected), else the driver's default."""
+    if config.max_steps is not None and config.max_steps < 1:
+        raise ConfigError(f"experiment.max_steps: must be >= 1, got {config.max_steps}")
     max_steps = config.max_steps if config.max_steps is not None else default_max_steps
     return SimulationBudget(left_guard=_left_guard(config), max_steps=max_steps)
 

@@ -54,7 +54,7 @@ def uniform_parametric():
 @pytest.fixture
 def run_fresh():
     """Run Python code in a fresh interpreter that imports this checkout's rwre
-    and return its stdout."""
+    and return its stdout; ``run_fresh.env`` is that interpreter's environment."""
     env = dict(os.environ)
     src = str(Path(rwre.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
@@ -63,4 +63,5 @@ def run_fresh():
         return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True).stdout
 
+    run.env = env
     return run

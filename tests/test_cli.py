@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,6 +171,19 @@ class TestErrors:
             {"kind": kind, "n": 200, "t": 200, "replicas": 100, "max_steps": 0},
         )
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command,field", [
+        ("lln", "max_steps"), ("lln", "left_guard"),
+        ("clt-hitting", "max_steps"), ("clt-hitting", "left_guard"),
+        ("clt-position", "left_guard"),
+    ])
+    def test_budget_errors_name_the_config_field(self, tmp_path, capsys, command, field):
+        cfg = write_config(
+            tmp_path / "s.json", {"type": "constant", "p": 0.75},
+            {"kind": command.replace("-", "_"), "n": 200, "t": 200, "replicas": 100, field: 0},
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"experiment.{field}: must be >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,experiment", [
         ("clt-position", {"kind": "clt_position", "t": -5}),
@@ -456,3 +471,22 @@ class TestManifest:
         assert manifest["command"] == "lln"
         assert set(manifest["outputs"]) == {"report.json"}
         assert {name: (out / name).read_bytes() for name in csvs} == csvs
+
+
+class TestFrozenImportHeap:
+    """Each check runs in a fresh interpreter, whatever this session has imported."""
+
+    @pytest.mark.parametrize("module,frozen", [("rwre", False), ("rwre.cli", True)])
+    def test_only_the_cli_import_freezes(self, run_fresh, module, frozen):
+        count = int(run_fresh(f"import gc, {module}\nprint(gc.get_freeze_count())"))
+        assert (count > 0) == frozen
+
+    def test_module_run_matches_in_process_run(self, tmp_path, run_fresh, small_hitting_config):
+        outs = {name: tmp_path / name for name in ("module", "in_process")}
+        subprocess.run([sys.executable, "-m", "rwre.cli", "clt-hitting", "--config",
+                        small_hitting_config, "--out", str(outs["module"])],
+                       env=run_fresh.env, capture_output=True, timeout=120, check=True)
+        assert main(["clt-hitting", "--config", small_hitting_config,
+                     "--out", str(outs["in_process"])]) == 0
+        for name in ("report.json", "samples.csv", "cdf.csv"):
+            assert (outs["module"] / name).read_bytes() == (outs["in_process"] / name).read_bytes()
