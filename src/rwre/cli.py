@@ -143,23 +143,32 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_jsonify(payload), sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _write_samples(path: Path, raw: np.ndarray, standardized: np.ndarray) -> None:
-    """One row per replica; raw samples are integer arrays (T(n) or X(t))."""
-    with open(path, "w", newline="\n") as fh:
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each float, called once per distinct float64 bit pattern,
+    so -0.0, +-inf and every NaN keep their own text."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [repr(v) for v in bits.view(np.float64).tolist()]
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def _write_csvs(out: Path, raw: np.ndarray, z: np.ndarray, zs: np.ndarray, phi: np.ndarray) -> None:
+    """samples.csv, one row per replica (raw samples are integer arrays, T(n)
+    or X(t)), and cdf.csv, one row per order statistic: the sorted
+    standardized sample and its Phi as the report carries them, ecdf i/m and
+    ecdf - Phi.  Every float is its ``repr``, as a row-by-row ``f"{x!r}"``
+    writes it: a sample holds few distinct values, so each standardized value
+    and each Phi is formatted once, and i/m and ecdf - Phi are the same IEEE
+    operations in numpy as in Python floats."""
+    texts = _reprs(np.concatenate((z, zs)))
+    z_texts, zs_texts = texts[: len(z)], texts[len(z) :]
+    ecdf = np.arange(1, len(zs) + 1) / len(zs)
+    with open(out / "samples.csv", "w", newline="\n") as fh:
         fh.write("replica,value,standardized\n")
-        for i, (v, z) in enumerate(zip(raw.tolist(), standardized.tolist())):
-            fh.write(f"{i},{v},{z!r}\n")
-
-
-def _write_cdf(path: Path, zs: np.ndarray, phi: np.ndarray) -> None:
-    """One row per order statistic: the sorted standardized sample and its Phi,
-    both as the report carries them; ecdf is i/m."""
-    m = len(zs)
-    with open(path, "w", newline="\n") as fh:
+        fh.writelines([f"{i},{v},{t}\n" for i, (v, t) in enumerate(zip(raw.tolist(), z_texts))])
+    with open(out / "cdf.csv", "w", newline="\n") as fh:
         fh.write("x,ecdf,phi,diff\n")
-        for i, (z, f) in enumerate(zip(zs.tolist(), phi.tolist()), start=1):
-            ecdf = i / m
-            fh.write(f"{z!r},{ecdf!r},{f!r},{ecdf - f!r}\n")
+        fh.writelines([f"{x},{e!r},{f},{d!r}\n" for x, e, f, d in
+                       zip(zs_texts, ecdf.tolist(), _reprs(phi), (ecdf - phi).tolist())])
 
 
 def _config_snapshot(config: ExperimentConfig) -> dict:
@@ -177,8 +186,7 @@ Report = tuple[dict, tuple[str, ...]]
 def _clt_report(report: harness.ExperimentReport, out: Path) -> Report:
     """report.json payload of one CLT item, and the files it wrote: samples.csv and cdf.csv."""
     z = report.standardized
-    _write_samples(out / "samples.csv", report.raw_samples, z)
-    _write_cdf(out / "cdf.csv", report.sorted_standardized, report.sorted_phi)
+    _write_csvs(out, report.raw_samples, z, report.sorted_standardized, report.sorted_phi)
     return {
         "kind": report.kind,
         "scale": report.scale,

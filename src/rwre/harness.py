@@ -560,6 +560,12 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
             z, root_t = t / summ.mu, math.sqrt(t)
             for j, x in enumerate(x_grid):
                 shift = root_t * summ.sigma_star * x
+                first = min(b_exp + shift - 1.0, b_imp + shift)  # the sums' leftmost end
+                if first < 0.0:
+                    raise ConfigError(
+                        f"experiment.t_grid: at t = {t} the window sums for x = {x} start at "
+                        f"site {math.floor(first)}, left of site 0; use a larger t"
+                    )
                 exp_sums[i, j] = signed_range_sum(prefix, z, b_exp + shift) / root_t
                 exp_sums_shift[i, j] = signed_range_sum(prefix, z, b_exp + shift - 1.0) / root_t
                 imp_sums[i, j] = signed_range_sum(prefix, b_imp, b_imp + shift) / root_t

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rwre import errors, harness
-from rwre.cli import main
+from rwre.cli import _write_csvs, main
+from rwre.environment import IidDiscrete
 
 
 def write_config(path, model, experiment=None, seeds=None):
@@ -17,6 +18,37 @@ def write_config(path, model, experiment=None, seeds=None):
         payload["seeds"] = seeds
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def reference_write_samples(path, raw, standardized):
+    """Reference: ``samples.csv`` as the row-by-row writer wrote it, verbatim."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("replica,value,standardized\n")
+        for i, (v, z) in enumerate(zip(raw.tolist(), standardized.tolist())):
+            fh.write(f"{i},{v},{z!r}\n")
+
+
+def reference_write_cdf(path, zs, phi):
+    """Reference: ``cdf.csv`` as the row-by-row writer wrote it, verbatim."""
+    m = len(zs)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("x,ecdf,phi,diff\n")
+        for i, (z, f) in enumerate(zip(zs.tolist(), phi.tolist()), start=1):
+            ecdf = i / m
+            fh.write(f"{z!r},{ecdf!r},{f!r},{ecdf - f!r}\n")
+
+
+def assert_same_csvs(tmp_path, raw, z, zs, phi):
+    """``_write_csvs`` and the reference writers give byte-identical files;
+    returns the reference ``cdf.csv`` text."""
+    (tmp_path / "got").mkdir()
+    (tmp_path / "ref").mkdir()
+    _write_csvs(tmp_path / "got", raw, z, zs, phi)
+    reference_write_samples(tmp_path / "ref" / "samples.csv", raw, z)
+    reference_write_cdf(tmp_path / "ref" / "cdf.csv", zs, phi)
+    for name in ("samples.csv", "cdf.csv"):
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+    return (tmp_path / "ref" / "cdf.csv").read_text()
 
 
 @pytest.fixture
@@ -241,15 +273,26 @@ class TestErrors:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_numerical_error_exit_code(self, tmp_path):
-        # at t = 10 the explicit window for x = -3 reaches left of site 0,
-        # outside the centered prefix sums
+    @pytest.mark.parametrize("experiment", [
+        {"t_grid": [10, 100000]},  # the default x_grid, whose first entry is -3.0
+        {"t_grid": [30, 100000]},
+        {"t_grid": [10, 1000], "n_grid": [100], "x_grid": [-3.0, 0.0, 3.0]},
+    ])
+    def test_diagnostics_window_left_of_site_zero(self, tmp_path, capsys, experiment):
+        # at a small t the window sums for x = -3 start left of site 0, outside
+        # the centered prefix sums: a configuration error, not a numerical one
         cfg = write_config(
             tmp_path / "t.json",
             {"type": "iid_discrete", "atoms": [[0.8, 0.5], [0.6, 0.5]]},
-            {"t_grid": [10, 1000], "n_grid": [100], "x_grid": [-3.0, 0.0, 3.0]},
+            experiment, {"master": 7},
         )
-        assert main(["diagnostics", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert main(["diagnostics", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        t = experiment["t_grid"][0]
+        assert err.startswith(f"configuration error: experiment.t_grid: at t = {t} "
+                              "the window sums for x = -3.0 start at site -")
+        assert err.endswith(", left of site 0; use a larger t\n")
+        assert not (tmp_path / "o" / "report.json").exists()
 
     @pytest.mark.parametrize("cls,code,label", [
         (errors.RwreError, 1, "error"),
@@ -292,6 +335,38 @@ class TestErrors:
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         for name in ("report.json", "manifest.json"):
             json.loads((tmp_path / "o" / name).read_text(), parse_constant=reject)
+
+
+class TestCsvWriter:
+    """The one CSV writer against the row-by-row writers it replaced."""
+
+    def test_clt_run_with_ties(self, tmp_path):
+        cfg = harness.ExperimentConfig(
+            model=IidDiscrete(atoms=((0.8, 0.5), (0.6, 0.5))),
+            kind="clt_hitting", n=200, replicas=2000, master_seed=11,
+        )
+        rep = harness.clt_hitting(cfg)
+        z = rep.standardized
+        assert np.unique(z).size < z.size / 4  # many replicas share a T(n)
+        text = assert_same_csvs(tmp_path, rep.raw_samples, z, rep.sorted_standardized,
+                                rep.sorted_phi)
+        out = tmp_path / "cli"
+        cli_cfg = write_config(tmp_path / "c.json",
+                               {"type": "iid_discrete", "atoms": [[0.8, 0.5], [0.6, 0.5]]},
+                               {"kind": "clt_hitting", "n": 200, "replicas": 2000}, {"master": 11})
+        assert main(["clt-hitting", "--config", cli_cfg, "--out", str(out)]) == 0
+        assert (out / "cdf.csv").read_text() == text
+
+    def test_special_values(self, tmp_path):
+        other_nan = np.array([0x7FF8_0000_0000_0001], dtype=np.int64).view(np.float64)[0]
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, other_nan, 0.1, 1e-300, 5e-324]
+        z = np.array(specials * 3 + [0.1, 0.1, 2.5, -2.5])
+        raw = np.arange(z.size, dtype=np.int64) % 5 - 2
+        zs = np.sort(z)
+        phi = harness.normal_cdf(zs)
+        phi[:4] = [np.inf, -np.inf, np.nan, -0.0]  # and a Phi column no normal_cdf gives
+        text = assert_same_csvs(tmp_path, raw, z, zs, phi)
+        assert "-0.0" in text and "-inf" in text and "nan" in text
 
 
 class TestSeedPrecedence:

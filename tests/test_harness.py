@@ -12,7 +12,6 @@ from rwre import harness
 from rwre.environment import Constant
 from rwre.errors import (
     ConfigError,
-    IndexRangeError,
     ModelError,
     NotCltEligibleError,
     StepBudgetExceededError,
@@ -353,12 +352,13 @@ class TestDiagnostics:
 
     def test_range_left_of_site_zero_raises(self, two_point):
         # at t = 10 the explicit upper end for x = -3 lies left of site 0; the
-        # range sum must raise rather than wrap around the prefix array
+        # diagnostics must raise rather than wrap around the prefix array, and
+        # name the grid entry that asks for it
         cfg = ExperimentConfig(
             model=two_point, kind="diagnostics",
             t_grid=(10, 1000), n_grid=(100,), x_grid=(-3.0, 0.0, 3.0),
         )
-        with pytest.raises(IndexRangeError):
+        with pytest.raises(ConfigError, match=r"experiment\.t_grid: at t = 10 .* x = -3\.0 "):
             fluctuation_diagnostics(cfg)
 
     def test_quasi_periodic_bound_by_ergodicity(self, golden_qp):

@@ -449,11 +449,11 @@ def stepped_propagate(window: EnvironmentWindow, z0: int, steps: int, left_guard
                 break
     return start, buf[a:b].copy(), float(absorbed), dropped, np.array(hits)
 
-def slides(window, *args) -> int:
-    """How often ``stepped_propagate(window, *args)`` slid its band back to the
-    front of its buffer, counted by tracing the slide's first line."""
-    code = stepped_propagate.__code__
-    lines, first = inspect.getsourcelines(stepped_propagate)
+def slides(window, *args, kernel=stepped_propagate) -> int:
+    """How often ``kernel(window, *args)`` slid its band back to the front of
+    its buffer, counted by tracing the slide's first line."""
+    code = kernel.__code__
+    lines, first = inspect.getsourcelines(kernel)
     slide = first + 1 + next(i for i, text in enumerate(lines) if "slide the band back" in text)
     count = 0
 
@@ -467,7 +467,7 @@ def slides(window, *args) -> int:
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        stepped_propagate(window, *args)
+        kernel(window, *args)
     finally:
         sys.settrace(previous)
     return count
@@ -540,6 +540,47 @@ class TestPropagationKernel:
         left = EnvironmentWindow.from_values([1e-40] * 40, lo=-20)
         _, masses, absorbed, _, _ = assert_same_kernel(left, 0, 30, 5, 10)
         assert masses.size == 0 and absorbed == 1.0
+
+    @pytest.mark.parametrize("edges", [(None, None), (40, None), (None, 5), (3, 4)])
+    @pytest.mark.parametrize("steps", [0, 1, TRIM_EVERY - 1, TRIM_EVERY, TRIM_EVERY + 1,
+                                       2 * TRIM_EVERY + 1])
+    def test_segment_edges(self, steps, edges):
+        w = realize(SLOW, -60, 60, seed=5)
+        _, masses, _, _, hits = assert_same_kernel(w, 0, steps, *edges)
+        assert masses.size and hits.size == steps + 1
+
+    @pytest.mark.parametrize("step", [TRIM_EVERY, TRIM_EVERY + 1])
+    def test_guard_absorbs_first_on_a_segment_edge(self, step):
+        # from 0 the guard at -step is reached first at that step: the last
+        # step of the first segment, or the first step of the second
+        w = EnvironmentWindow.from_values([0.5] * 120, lo=-60)
+        assert assert_same_kernel(w, 0, step - 1, step)[2] == 0.0
+        assert assert_same_kernel(w, 0, step, step)[2] > 0.0
+        assert assert_same_kernel(w, 0, step + 3, step, 50)[2] > 0.0
+
+    @pytest.mark.parametrize("step", [2 * TRIM_EVERY, 2 * TRIM_EVERY + 1])
+    def test_target_stops_on_a_segment_edge(self, step):
+        # the target is the CDF one step before ``step``, which absorbs mass
+        w = realize(SLOW, -60, 60, seed=5)
+        right = 2 - step % 2  # hits fall on steps of the parity of ``right``
+        hits = stepped_propagate(w, 0, 200, 30, right)[4]
+        target = float(np.cumsum(hits)[step - 1])
+        assert hits[step] > 0.0
+        assert assert_same_kernel(w, 0, 200, 30, right, target)[4].size == step + 1
+
+    def test_band_empties_mid_segment(self):
+        # one site between the guard and the right edge: both absorb at step 1
+        w = realize(SLOW, -60, 60, seed=5)
+        _, masses, absorbed, dropped, hits = assert_same_kernel(w, 0, 40, 1, 1)
+        assert masses.size == 0 and hits.size == 2 and dropped == 0.0
+        assert absorbed + hits[1] == 1.0
+
+    def test_buffer_slides_mid_run(self):
+        w = realize(SLOW, -800, 12_000, seed=3)
+        args = (0, 20_000, 30, 40)
+        _, masses, _, _, hits = assert_same_kernel(w, *args)
+        assert masses.size and hits.size == 20_001
+        assert slides(w, *args) > 0 and slides(w, *args, kernel=_propagate) > 0
 
     def test_start_must_lie_right_of_the_guard(self):
         w = realize(SLOW, -80, 100, seed=3)
