@@ -326,9 +326,7 @@ def _propagate(window: EnvironmentWindow, z0: int, steps: int, left_guard: int |
         raise ModelError(f"start {z0} must lie right of the guard {guard}")
     r0, r1 = max(left, z0 - steps), min(top, z0 + steps)
     reach = window.p[r0 - window.lo : r1 - window.lo + 1]
-    planes = (np.zeros(reach[::2].size + 2 * TRIM_EVERY), np.zeros(reach[1::2].size + 2 * TRIM_EVERY))
-    planes[0][TRIM_EVERY:-TRIM_EVERY] = reach[::2]
-    planes[1][TRIM_EVERY:-TRIM_EVERY] = reach[1::2]
+    planes = (np.pad(reach[::2], TRIM_EVERY), np.pad(reach[1::2], TRIM_EVERY))
     width = (r1 - r0) // 2 + 2  # the widest band
     buf = np.zeros(2 * width + TRIM_EVERY + 2)
     moved = np.empty(width + TRIM_EVERY)

@@ -277,7 +277,7 @@ class TestErrors:
         {"t_grid": [10, 100000]},  # the default x_grid, whose first entry is -3.0
         {"t_grid": [30, 100000]},
         {"t_grid": [10, 1000], "n_grid": [100], "x_grid": [-3.0, 0.0, 3.0]},
-    ])
+    ], ids=["t10-default-grids", "t30-default-grids", "t10-x3"])
     def test_diagnostics_window_left_of_site_zero(self, tmp_path, capsys, experiment):
         # at a small t the window sums for x = -3 start left of site 0, outside
         # the centered prefix sums: a configuration error, not a numerical one

@@ -541,6 +541,17 @@ class TestPropagationKernel:
         _, masses, absorbed, _, _ = assert_same_kernel(left, 0, 30, 5, 10)
         assert masses.size == 0 and absorbed == 1.0
 
+    def test_start_must_lie_right_of_the_guard(self):
+        w = realize(SLOW, -80, 100, seed=3)
+        for z0 in (-5, -6):
+            with pytest.raises(ModelError):
+                position_law(w, z0, 10, left_guard=5)
+
+
+class TestKernelSegmentEdges:
+    """The kernel against ``stepped_propagate`` where its 16-step segments
+    begin and end, and where the band empties or slides mid-run."""
+
     @pytest.mark.parametrize("edges", [(None, None), (40, None), (None, 5), (3, 4)])
     @pytest.mark.parametrize("steps", [0, 1, TRIM_EVERY - 1, TRIM_EVERY, TRIM_EVERY + 1,
                                        2 * TRIM_EVERY + 1])
@@ -581,12 +592,6 @@ class TestPropagationKernel:
         _, masses, _, _, hits = assert_same_kernel(w, *args)
         assert masses.size and hits.size == 20_001
         assert slides(w, *args) > 0 and slides(w, *args, kernel=_propagate) > 0
-
-    def test_start_must_lie_right_of_the_guard(self):
-        w = realize(SLOW, -80, 100, seed=3)
-        for z0 in (-5, -6):
-            with pytest.raises(ModelError):
-                position_law(w, z0, 10, left_guard=5)
 
 
 class TestHittingLaw:
