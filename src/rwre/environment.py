@@ -56,6 +56,7 @@ _PHASE_GRID = 8192  # density of the validation grid for quasi-periodic p(.)
 RECURRENCE_TOL = 1e-9  # |E ln A| at or below this is classified recurrent
 GAMMA = 3.0  # moment exponent (> 2) at which check_conditions evaluates C3 and C4
 SEED_ATTENUATION_LOG = 46.0  # recursions are seeded this far back in summed log odds
+_REALIZE_CHUNK = 1 << 16  # sites per pass of realize
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +166,9 @@ class QuasiPeriodic:
             )
 
     def p_of_phase(self, omega: np.ndarray | float) -> np.ndarray | float:
-        """p at each phase: each harmonic ``c * cos((2 pi m) omega)`` goes
-        through one reused work array into the sum, so an array of phases
-        costs two more arrays of its size; a scalar phase gives a float."""
+        """p at each phase: each harmonic ``c * cos((2 pi m) omega)`` goes through
+        one reused work array into the sum, so phases cost two more arrays of
+        their size (``realize`` gives one pass); a scalar phase gives a float."""
         omega = np.asarray(omega, dtype=np.float64)
         out = np.full_like(omega, self.coeffs[0])
         work = np.empty_like(omega)
@@ -267,7 +268,7 @@ def _site_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
     """One uniform in [0,1) per site k in [lo, hi], a pure hash of (seed, k).
 
     The hash runs in place on one uint64 array, and the float result is scaled
-    in place: the peak is twice the output.
+    in place: the peak is twice the output (``realize`` asks for one pass).
     """
     z = np.arange(lo, hi + 1, dtype=np.int64).view(np.uint64)
     with np.errstate(over="ignore"):
@@ -342,34 +343,35 @@ def realize(model: EnvironmentModel, lo: int, hi: int, seed: int) -> Environment
     """Realize the quenched environment on [lo, hi] from a 64-bit seed.
 
     Site values depend only on (model, seed, k): overlapping windows agree
-    exactly on their intersection.  Sites are realized in place, so the peak
-    memory is about twice the output for i.i.d. laws and three times it for
-    quasi-periodic ones.  A finite law's site takes the atom whose cumulative
-    weight interval holds its uniform; a uniform at or above the last
-    cumulative weight (a sum that rounds below 1) takes the last atom.
+    exactly on their intersection.  The output is filled in passes of
+    _REALIZE_CHUNK sites by the family's elementwise formula, so the peak is
+    the output plus a few pass-sized arrays.  A finite law's site takes the
+    atom whose cumulative weight interval holds its uniform; a uniform at or
+    above the last cumulative weight (a sum that rounds below 1) takes the last atom.
     """
     if lo > hi:
         raise ModelError(f"realize: lo={lo} must not exceed hi={hi}")
-    if isinstance(model, Constant):
-        p = np.full(hi - lo + 1, model.p, dtype=np.float64)
-    elif isinstance(model, IidDiscrete):
-        u = _site_uniforms(seed, lo, hi)
+    if isinstance(model, IidDiscrete):
         values = np.array([a for a, _ in model.atoms])
         weights = np.array([w for _, w in model.atoms])
-        cum = np.cumsum(weights / weights.sum())
-        atom = np.searchsorted(cum[:-1], u, side="right")
-        del u  # before the output is allocated
-        p = values[atom]
-    elif isinstance(model, IidParametric):
-        p = _sample_parametric(model, _site_uniforms(seed, lo, hi))
-    elif isinstance(model, QuasiPeriodic):
-        phase = np.arange(lo, hi + 1, dtype=np.float64)
-        phase *= model.alpha
-        phase += model.omega0
-        np.mod(phase, 1.0, out=phase)
-        p = model.p_of_phase(phase)
-    else:
+        cum = np.cumsum(weights / weights.sum())[:-1]
+    elif not isinstance(model, (Constant, IidParametric, QuasiPeriodic)):
         raise ModelError(f"realize: unsupported model {model!r}")
+    p = np.empty(hi - lo + 1)
+    for k0 in range(lo, hi + 1, _REALIZE_CHUNK):
+        k1 = min(k0 + _REALIZE_CHUNK - 1, hi)
+        part = p[k0 - lo : k1 - lo + 1]
+        if isinstance(model, Constant):
+            part[:] = model.p
+        elif isinstance(model, IidDiscrete):
+            part[:] = values[np.searchsorted(cum, _site_uniforms(seed, k0, k1), side="right")]
+        elif isinstance(model, IidParametric):
+            part[:] = _sample_parametric(model, _site_uniforms(seed, k0, k1))
+        else:
+            phase = np.arange(k0, k1 + 1, dtype=np.float64)
+            phase *= model.alpha
+            phase += model.omega0
+            part[:] = model.p_of_phase(np.mod(phase, 1.0, out=phase))
     return EnvironmentWindow(lo=lo, hi=hi, p=p)
 
 

@@ -55,14 +55,16 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 def normal_cdf(x):
     """Standard normal CDF, Phi(x) = erfc(-x / sqrt 2) / 2, through ``math.erfc``.
 
-    A scalar gives a Python float and an array a float64 array of its shape;
+    A scalar gives a Python float and an array a float64 array of its shape,
+    Phi taken once per distinct value (a sample holds few) and gathered;
     Phi(-inf) = 0 and Phi(inf) = 1.  On [-8, 8] it is within about 80 ulp
     of the exact value and within 19 ulp of ``scipy.special.ndtr``, which
     is no closer to exact.
     """
     if np.ndim(x) == 0:
         return 0.5 * math.erfc(-float(x) * _SQRT_HALF)
-    return 0.5 * _erfc(-np.asarray(x, dtype=np.float64) * _SQRT_HALF).astype(np.float64)
+    distinct, inverse = np.unique(np.asarray(x, dtype=np.float64), return_inverse=True)
+    return (0.5 * _erfc(-distinct * _SQRT_HALF).astype(np.float64))[inverse.reshape(np.shape(x))]
 
 
 def default_ks_threshold(n_replicas: int) -> float:

@@ -261,9 +261,9 @@ def forcing_terms(window: EnvironmentWindow, e: FiniteChainSolution) -> dict:
 
 
 def hitting_time_variances(window: EnvironmentWindow, a: int, n: int) -> FiniteChainSolution:
-    """v(x) = variance of the time to hit n from x, forcing built from e."""
-    e = expected_hitting_times(window, a, n)
-    return solve_finite_chain(window, a, n, _variance_forcing(window, e))
+    """v(x) = variance of the time to hit n from x; e, which builds the forcing, goes first."""
+    forcing = _variance_forcing(window, expected_hitting_times(window, a, n))
+    return solve_finite_chain(window, a, n, forcing)
 
 
 @dataclass(frozen=True)
@@ -275,14 +275,6 @@ class ExactPmf:
 
     def mean(self) -> float:
         return float(np.dot(self.support, self.probabilities))
-
-    def total_variation(self, positions, counts) -> float:
-        """TV distance to an empirical distribution given as positions/counts."""
-        counts = np.asarray(counts, dtype=np.float64)
-        emp = dict(zip(np.asarray(positions).tolist(), (counts / counts.sum()).tolist()))
-        exact = dict(zip(self.support.tolist(), self.probabilities.tolist()))
-        keys = set(emp) | set(exact)
-        return 0.5 * sum(abs(emp.get(k, 0.0) - exact.get(k, 0.0)) for k in keys)
 
 
 TRIM_EVERY = 16
@@ -315,7 +307,7 @@ def _propagate(window: EnvironmentWindow, z0: int, steps: int, left_guard: int |
     step on the live band alone.  The guard and top cells are read through a
     memoryview as Python floats, the same IEEE values as numpy scalars
     without their boxing; only the steps that absorb at ``right`` record
-    their hit.
+    their hit.  A trim scans them inward from each end for the live band.
     """
     guard = None if left_guard is None else -left_guard
     left = z0 - steps if guard is None else guard
@@ -369,13 +361,16 @@ def _propagate(window: EnvironmentWindow, z0: int, steps: int, left_guard: int |
                     break
             if a == b:
                 break
-        else:  # the scheduled trim, which drops nothing while both end cells are live
-            if not (cells[a] >= LAW_EPS and cells[b - 1] >= LAW_EPS):
-                live = np.flatnonzero(buf[a:b] >= LAW_EPS)
-                i, j = (int(live[0]), int(live[-1]) + 1) if live.size else (b - a, b - a)
-                dropped += float(buf[a : a + i].sum() + buf[a + j : b].sum())
-                buf[a + j : b] = 0.0
-                a, b, start = a + i, a + j, start + 2 * i
+        else:  # the scheduled trim: scan inward from each end for the live cells
+            i, j = a, b
+            while i < j and not cells[i] >= LAW_EPS:
+                i += 1
+            while j > i and not cells[j - 1] >= LAW_EPS:
+                j -= 1
+            if i > a or j < b:
+                dropped += float(buf[a:i].sum() + buf[j:b].sum())
+                buf[j:b] = 0.0
+                a, b, start = i, j, start + 2 * (i - a)
             if a < b:
                 continue
         break  # the target was passed or the band is empty

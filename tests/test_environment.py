@@ -152,6 +152,85 @@ class TestRealizeInPlace:
         assert peak < bound * window.p.nbytes
 
 
+def whole_window_realize(model, lo, hi, seed):
+    """Reference: ``realize`` as it ran before its fixed passes, verbatim,
+    every array the length of the whole window."""
+    if lo > hi:
+        raise ModelError(f"realize: lo={lo} must not exceed hi={hi}")
+    if isinstance(model, Constant):
+        p = np.full(hi - lo + 1, model.p, dtype=np.float64)
+    elif isinstance(model, IidDiscrete):
+        u = _site_uniforms(seed, lo, hi)
+        values = np.array([a for a, _ in model.atoms])
+        weights = np.array([w for _, w in model.atoms])
+        cum = np.cumsum(weights / weights.sum())
+        atom = np.searchsorted(cum[:-1], u, side="right")
+        del u  # before the output is allocated
+        p = values[atom]
+    elif isinstance(model, IidParametric):
+        p = environment._sample_parametric(model, _site_uniforms(seed, lo, hi))
+    elif isinstance(model, QuasiPeriodic):
+        phase = np.arange(lo, hi + 1, dtype=np.float64)
+        phase *= model.alpha
+        phase += model.omega0
+        np.mod(phase, 1.0, out=phase)
+        p = model.p_of_phase(phase)
+    else:
+        raise ModelError(f"realize: unsupported model {model!r}")
+    return environment.EnvironmentWindow(lo=lo, hi=hi, p=p)
+
+
+PASS = environment._REALIZE_CHUNK
+PASS_LAWS = {
+    "constant": Constant(0.7),
+    "two atoms": IidDiscrete(atoms=((0.8, 0.5), (0.6, 0.5))),
+    "three atoms": IidDiscrete(atoms=((0.9, 0.2), (0.6, 0.3), (0.45, 0.5))),
+    "three atoms below 1": IidDiscrete(atoms=((0.9, 0.342), (0.6, 0.558), (0.45, 0.1))),
+    "ten atoms": TEN_ATOMS,
+    "uniform": IidParametric(family="uniform", p_lo=0.55, p_hi=0.9),
+    "beta": BETA_22,
+    "one harmonic": REALIZE_LAWS["golden"],
+    "three harmonics": QuasiPeriodic(alpha=(math.sqrt(5.0) - 1.0) / 2.0, omega0=0.3,
+                                     coeffs=(0.6, 0.1, 0.05, 0.02)),
+}
+PASS_WINDOWS = {
+    "one site": (5, 5),
+    "one pass": (0, PASS - 1),
+    "one pass less one": (-3, PASS - 5),
+    "one pass and one": (-1, PASS - 1),
+    "several passes": (-2 * PASS - 7, 2 * PASS + 12),
+    "negative lo": (-PASS - 100, -40),
+}
+
+
+class TestRealizeInPasses:
+    def test_weights_sum_below_one(self):
+        weights = np.array([w for _, w in PASS_LAWS["three atoms below 1"].atoms])
+        assert np.cumsum(weights / weights.sum())[-1] < 1.0
+
+    @pytest.mark.parametrize("window", sorted(PASS_WINDOWS))
+    @pytest.mark.parametrize("name", sorted(PASS_LAWS))
+    def test_matches_whole_window(self, name, window):
+        lo, hi = PASS_WINDOWS[window]
+        for seed in (3, 2**64 - 1):
+            want = whole_window_realize(PASS_LAWS[name], lo, hi, seed).p
+            assert realize(PASS_LAWS[name], lo, hi, seed).p.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(PASS_LAWS))
+    def test_peak_is_output_plus_four_passes(self, name):
+        # a whole-window realization of six passes holds at least one more
+        # output (finite and parametric laws) or two (quasi-periodic)
+        model = PASS_LAWS[name]
+        realize(model, -10, 10, seed=1)  # warm any lazily built state
+        tracemalloc.start()
+        try:
+            window = realize(model, -3 * PASS, 3 * PASS, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < window.p.nbytes + 4 * 8 * PASS
+
+
 class TestRealize:
     def test_constant_all_sites(self, constant_75):
         w = realize(constant_75, -3, 3, seed=0)

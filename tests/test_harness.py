@@ -67,6 +67,14 @@ class TestKsDistance:
 
 
 class TestNormalCdf:
+    def test_array_with_repeats_matches_each_value(self):
+        # Phi of an array is taken once per distinct value and gathered
+        z = np.round(np.random.default_rng(3).standard_normal(5000), 2)
+        z = np.concatenate([z, [0.0, -0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 0.25]])
+        want = np.array([normal_cdf(v) for v in z.tolist()])
+        assert normal_cdf(z).tobytes() == want.tobytes()
+        assert normal_cdf(np.array([])).shape == (0,)
+
     def test_scalar_gives_float(self):
         for x in (0.3, np.float64(-1.5), 2, np.array(0.7)):
             assert type(normal_cdf(x)) is float
