@@ -261,7 +261,7 @@ def forcing_terms(window: EnvironmentWindow, e: FiniteChainSolution) -> dict:
 
 
 def hitting_time_variances(window: EnvironmentWindow, a: int, n: int) -> FiniteChainSolution:
-    """v(x) = variance of the time to hit n from x; e, which builds the forcing, goes first."""
+    """v(x) = variance of the time to hit n from x; e builds the forcing and is freed first."""
     forcing = _variance_forcing(window, expected_hitting_times(window, a, n))
     return solve_finite_chain(window, a, n, forcing)
 
@@ -307,7 +307,7 @@ def _propagate(window: EnvironmentWindow, z0: int, steps: int, left_guard: int |
     step on the live band alone.  The guard and top cells are read through a
     memoryview as Python floats, the same IEEE values as numpy scalars
     without their boxing; only the steps that absorb at ``right`` record
-    their hit.  A trim scans them inward from each end for the live band.
+    their hit.  A trim scans the memoryview inward from each end of the band.
     """
     guard = None if left_guard is None else -left_guard
     left = z0 - steps if guard is None else guard
