@@ -72,9 +72,13 @@ def _load_config(path: str, args) -> ExperimentConfig:
     """The config at ``path`` with the flags applied; ``replicas`` is
     range-checked only for a subcommand that reads it."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: not UTF-8 text at byte {exc.start}: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict) or "model" not in raw:
@@ -143,32 +147,27 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_jsonify(payload), sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of each float, called once per distinct float64 bit pattern,
-    so -0.0, +-inf and every NaN keep their own text."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = [repr(v) for v in bits.view(np.float64).tolist()]
-    return list(map(texts.__getitem__, inverse.tolist()))
-
-
-def _write_csvs(out: Path, raw: np.ndarray, z: np.ndarray, zs: np.ndarray, phi: np.ndarray) -> None:
+def _write_csvs(out: Path, report: harness.ExperimentReport) -> None:
     """samples.csv, one row per replica (raw samples are integer arrays, T(n)
     or X(t)), and cdf.csv, one row per order statistic: the sorted
-    standardized sample and its Phi as the report carries them, ecdf i/m and
-    ecdf - Phi.  Every float is its ``repr``, as a row-by-row ``f"{x!r}"``
-    writes it: a sample holds few distinct values, so each standardized value
-    and each Phi is formatted once, and i/m and ecdf - Phi are the same IEEE
-    operations in numpy as in Python floats."""
-    texts = _reprs(np.concatenate((z, zs)))
-    z_texts, zs_texts = texts[: len(z)], texts[len(z) :]
-    ecdf = np.arange(1, len(zs) + 1) / len(zs)
+    standardized sample and its Phi, ecdf i/m and ecdf - Phi.  Both read the
+    report's table: each distinct standardized value and its Phi is
+    formatted once, looked up through a replica's row in samples.csv and
+    repeated by its count in cdf.csv.  Every float is its ``repr``, as a
+    row-by-row ``f"{x!r}"`` writes it, and i/m and ecdf - Phi are the same
+    IEEE operations in numpy as in Python floats."""
+    value_texts = [repr(v) for v in report.values.tolist()]
+    phi_texts = [repr(f) for f in report.phi.tolist()]
+    order = np.repeat(np.arange(len(value_texts)), report.counts)  # table row of each order statistic
+    ecdf = np.arange(1, len(order) + 1) / len(order)
     with open(out / "samples.csv", "w", newline="\n") as fh:
         fh.write("replica,value,standardized\n")
-        fh.writelines([f"{i},{v},{t}\n" for i, (v, t) in enumerate(zip(raw.tolist(), z_texts))])
+        fh.writelines([f"{i},{v},{value_texts[r]}\n"
+                       for i, (v, r) in enumerate(zip(report.raw_samples.tolist(), report.rows.tolist()))])
     with open(out / "cdf.csv", "w", newline="\n") as fh:
         fh.write("x,ecdf,phi,diff\n")
-        fh.writelines([f"{x},{e!r},{f},{d!r}\n" for x, e, f, d in
-                       zip(zs_texts, ecdf.tolist(), _reprs(phi), (ecdf - phi).tolist())])
+        fh.writelines([f"{value_texts[r]},{e!r},{phi_texts[r]},{d!r}\n" for r, e, d in
+                       zip(order.tolist(), ecdf.tolist(), (ecdf - report.phi[order]).tolist())])
 
 
 def _config_snapshot(config: ExperimentConfig) -> dict:
@@ -186,7 +185,7 @@ Report = tuple[dict, tuple[str, ...]]
 def _clt_report(report: harness.ExperimentReport, out: Path) -> Report:
     """report.json payload of one CLT item, and the files it wrote: samples.csv and cdf.csv."""
     z = report.standardized
-    _write_csvs(out, report.raw_samples, z, report.sorted_standardized, report.sorted_phi)
+    _write_csvs(out, report)
     return {
         "kind": report.kind,
         "scale": report.scale,

@@ -239,7 +239,9 @@ def model_from_dict(data: dict) -> EnvironmentModel:
             return IidParametric(params=params, **fields)
         if tag == "quasi_periodic":
             return QuasiPeriodic(coeffs=tuple(fields.pop("coeffs")), **fields)
-    except TypeError as exc:
+    except KeyError as exc:
+        raise ModelError(f"model: type {tag!r} needs the field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
         raise ModelError(f"model: bad fields for type {tag!r}: {exc}") from exc
     raise ModelError(f"model.type: unknown model type {tag!r}")
 

@@ -56,15 +56,14 @@ def normal_cdf(x):
     """Standard normal CDF, Phi(x) = erfc(-x / sqrt 2) / 2, through ``math.erfc``.
 
     A scalar gives a Python float and an array a float64 array of its shape,
-    Phi taken once per distinct value (a sample holds few) and gathered;
-    Phi(-inf) = 0 and Phi(inf) = 1.  On [-8, 8] it is within about 80 ulp
-    of the exact value and within 19 ulp of ``scipy.special.ndtr``, which
-    is no closer to exact.
+    Phi taken elementwise (a CLT driver passes its sample's distinct values
+    only); Phi(-inf) = 0 and Phi(inf) = 1.  On [-8, 8] it is within about
+    80 ulp of the exact value and within 19 ulp of ``scipy.special.ndtr``,
+    which is no closer to exact.
     """
     if np.ndim(x) == 0:
         return 0.5 * math.erfc(-float(x) * _SQRT_HALF)
-    distinct, inverse = np.unique(np.asarray(x, dtype=np.float64), return_inverse=True)
-    return (0.5 * _erfc(-distinct * _SQRT_HALF).astype(np.float64))[inverse.reshape(np.shape(x))]
+    return 0.5 * _erfc(-np.asarray(x, dtype=np.float64) * _SQRT_HALF).astype(np.float64)
 
 
 def default_ks_threshold(n_replicas: int) -> float:
@@ -72,11 +71,14 @@ def default_ks_threshold(n_replicas: int) -> float:
     return max(0.03, 3.0 * 1.36 / math.sqrt(n_replicas))
 
 
-def _ks_from_sorted(f: np.ndarray) -> float:
-    """KS distance from ``f``, the reference CDF at each sorted sample value."""
-    m = len(f)
-    i = np.arange(1, m + 1, dtype=np.float64)
-    return float(max(np.max(np.abs(f - i / m)), np.max(np.abs(f - (i - 1.0) / m))))
+def _ks_from_table(f: np.ndarray, counts: np.ndarray) -> float:
+    """KS distance from a sample's table: ``f``, the reference CDF at each
+    distinct value in ascending order, and the ``counts`` of each.  fl(f - x)
+    is monotone in x, so a value's ECDF step has its largest gap at an end."""
+    m = int(counts.sum())
+    upper = np.cumsum(counts)
+    lower = upper - counts
+    return float(max(np.max(np.abs(f - upper / m)), np.max(np.abs(f - lower / m))))
 
 
 def ks_distance(samples, reference_cdf=normal_cdf) -> float:
@@ -84,7 +86,8 @@ def ks_distance(samples, reference_cdf=normal_cdf) -> float:
     xs = np.sort(np.asarray(samples, dtype=np.float64))
     if len(xs) == 0:
         raise ModelError("ks_distance: empty sample set")
-    return _ks_from_sorted(np.asarray(reference_cdf(xs), dtype=np.float64))
+    f = np.asarray(reference_cdf(xs), dtype=np.float64)
+    return _ks_from_table(f, np.ones(len(xs), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -209,8 +212,10 @@ def _child_seed(seed: int, key: int) -> int:
 class ExperimentReport:
     """Outcome of one CLT experiment: standardized samples and the verdict.
 
-    ``sorted_standardized`` and ``sorted_phi`` are the one CDF table of the
-    item: the standardized sample in ascending order and Phi at each value.
+    ``values``, ``counts`` and ``phi`` are the one CDF table of the item:
+    the distinct standardized values in ascending order, the replicas at
+    each and Phi at each.  ``rows`` gives each replica's row in it, so
+    ``standardized`` is ``values[rows]``.
     """
 
     kind: str
@@ -221,9 +226,10 @@ class ExperimentReport:
     threshold: float
     verdict: bool
     raw_samples: np.ndarray
-    standardized: np.ndarray
-    sorted_standardized: np.ndarray
-    sorted_phi: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+    phi: np.ndarray
     centering_value: float
     scale_value: float               # sqrt(n) sigma or sqrt(t) sigma*
     summary: SummaryStatistics
@@ -239,6 +245,11 @@ class ExperimentReport:
             raise ModelError("report: KS distance must lie in [0, 1]")
         if self.verdict != (self.ks_distance <= self.threshold):
             raise ModelError("report: verdict inconsistent with threshold")
+
+    @property
+    def standardized(self) -> np.ndarray:
+        """Each replica's standardized sample, in replica order."""
+        return self.values[self.rows]
 
 
 def _left_guard(config: ExperimentConfig) -> int:
@@ -263,27 +274,33 @@ def _experiment_window(config: ExperimentConfig, right: int, env_seed: int,
     return realize(config.model, -margin, right, env_seed)
 
 
+def _cdf_table(samples: np.ndarray, center: float, scale_value: float):
+    """(rows, values, counts, phi, KS distance) of an integer sample, grouped
+    once: ascending integers standardize to non-decreasing values, so
+    ``np.repeat(values, counts)`` is the sorted standardized sample."""
+    distinct, rows, counts = np.unique(samples, return_inverse=True, return_counts=True)
+    values = (distinct - center) / scale_value
+    phi = normal_cdf(values)
+    return rows, values, counts, phi, _ks_from_table(phi, counts)
+
+
 def _clt_experiment(config: ExperimentConfig, kind: str, scale: int, centering: str | None,
                 summ: SummaryStatistics, replicate) -> ExperimentReport:
     """Run every environment replicate and report the first one.
 
     ``replicate(env_seed)`` realizes the window and returns (samples,
     centering value, scale value, window sigma2, window mu).  The first
-    replicate's standardized sample is sorted and Phi evaluated on it once;
-    that one table gives the KS distance, the ``cdf_errors`` rows and, through
-    the report, ``cdf.csv``.  Every later replicate only adds its KS distance
-    to the standard normal to ``ks_distribution``.
+    replicate's table (``_cdf_table``) gives the KS distance, the
+    ``cdf_errors`` rows and, through the report, both CSVs; every later
+    replicate's table only adds its KS distance to ``ks_distribution``.
     """
     env_seed = config.resolved_env_seed()
     samples, center, scale_value, window_sigma2, window_mu = replicate(env_seed)
-    z = (samples - center) / scale_value
-    zs = np.sort(z)
-    phi = normal_cdf(zs)
-    ks = _ks_from_sorted(phi)
+    rows, values, counts, phi, ks = _cdf_table(samples, center, scale_value)
     ks_list = [ks]
     for rep in range(1, config.env_replicates):
         other, other_center, other_scale, _, _ = replicate(config.resolved_env_seed(rep))
-        ks_list.append(ks_distance((other - other_center) / other_scale))
+        ks_list.append(_cdf_table(other, other_center, other_scale)[-1])
     threshold = config.ks_threshold if config.ks_threshold is not None else default_ks_threshold(config.replicas)
     return ExperimentReport(
         kind=kind,
@@ -294,16 +311,17 @@ def _clt_experiment(config: ExperimentConfig, kind: str, scale: int, centering: 
         threshold=threshold,
         verdict=ks <= threshold,
         raw_samples=samples,
-        standardized=z,
-        sorted_standardized=zs,
-        sorted_phi=phi,
+        rows=rows,
+        values=values,
+        counts=counts,
+        phi=phi,
         centering_value=center,
         scale_value=scale_value,
         summary=summ,
         window_sigma2=window_sigma2,
         window_mu=window_mu,
         cdf_errors=tuple(
-            (float(x), float(np.searchsorted(zs, x, side="right")) / len(zs), float(normal_cdf(x)))
+            (float(x), float(counts[values <= x].sum()) / len(samples), float(normal_cdf(x)))
             for x in config.x_grid
         ),
         env_seed=env_seed,

@@ -87,29 +87,40 @@ class WalkObservation:
         return np.diff(self.hit)
 
 
-def _simulate(
+def sample_position(
     window: EnvironmentWindow,
     z0: int,
+    t_list,
     rng: np.random.Generator,
+    budget: SimulationBudget,
     *,
-    left_guard: int,
-    max_steps: int,
-    n_stop: int | None = None,
-    snap_times=(),
+    n_goal: int | None = None,
     record_path: bool = False,
 ) -> WalkObservation:
+    """Position snapshots X(t) at the requested times from one trajectory.
+
+    The observation also carries the trajectory's first-passage record
+    ``hit`` up to the furthest site it reached.  With ``n_goal`` the walk
+    runs on until it first reaches ``n_goal``, so T(0)..T(n_goal) are all
+    recorded: the joint mode of the LLN and coupling identity checks.  The
+    walk stops at ``budget.max_steps`` steps and at the left guard
+    ``-budget.left_guard``.
+    """
+    snap_times = sorted(int(t) for t in t_list)
+    if snap_times and snap_times[0] < 0:
+        raise ModelError("sample_position: snapshot times must be >= 0")
     lo = window.lo
     hi = window.hi
     span = hi - lo
     if z0 <= lo or z0 >= hi:
         raise WindowTooSmallError(f"start {z0} not strictly inside window [{lo}, {hi}]")
-    if n_stop is not None and n_stop > hi:
-        raise WindowTooSmallError(f"hitting goal {n_stop} beyond window end {hi}")
+    if n_goal is not None and n_goal > hi:
+        raise WindowTooSmallError(f"hitting goal {n_goal} beyond window end {hi}")
+    left_guard, max_steps = budget.left_guard, budget.max_steps
     if lo > -left_guard:
         raise WindowTooSmallError(f"window [{lo}, {hi}] must cover the left guard {-left_guard}")
-    snap_times = sorted(int(t) for t in snap_times)
     t_need = max(snap_times, default=0)
-    goal = z0 if n_stop is None else n_stop
+    goal = z0 if n_goal is None else n_goal
     snaps = [(0, z0) for s in snap_times if s == 0]
     si = len(snaps)
     hit = np.empty(hi - z0 + 1, dtype=np.int64)  # a block stops where it reaches hi
@@ -204,38 +215,6 @@ def sample_hitting_times(
     if n < 1:
         raise ModelError(f"sample_hitting_times: n must be >= 1, got {n}")
     return sample_position(window, 0, (), rng, budget, n_goal=n)
-
-
-def sample_position(
-    window: EnvironmentWindow,
-    z0: int,
-    t_list,
-    rng: np.random.Generator,
-    budget: SimulationBudget,
-    *,
-    n_goal: int | None = None,
-    record_path: bool = False,
-) -> WalkObservation:
-    """Position snapshots X(t) at the requested times from one trajectory.
-
-    The observation also carries the trajectory's first-passage record
-    ``hit`` up to the furthest site it reached.  With ``n_goal`` the walk
-    runs on until it first reaches ``n_goal``, so T(0)..T(n_goal) are all
-    recorded: the joint mode of the LLN and coupling identity checks.
-    """
-    t_list = sorted(int(t) for t in t_list)
-    if t_list and t_list[0] < 0:
-        raise ModelError("sample_position: snapshot times must be >= 0")
-    return _simulate(
-        window,
-        z0,
-        rng,
-        left_guard=budget.left_guard,
-        max_steps=budget.max_steps,
-        snap_times=t_list,
-        n_stop=n_goal,
-        record_path=record_path,
-    )
 
 
 def first_passage_index(observation: WalkObservation, t: float) -> int:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,14 +39,17 @@ def reference_write_cdf(path, zs, phi):
             fh.write(f"{z!r},{ecdf!r},{f!r},{ecdf - f!r}\n")
 
 
-def assert_same_csvs(tmp_path, raw, z, zs, phi):
-    """``_write_csvs`` and the reference writers give byte-identical files;
-    returns the reference ``cdf.csv`` text."""
+def assert_same_csvs(tmp_path, report):
+    """``_write_csvs`` on a report's table and the reference writers on its
+    sample standardized and sorted anew give byte-identical files; returns
+    the reference ``cdf.csv`` text."""
     (tmp_path / "got").mkdir()
     (tmp_path / "ref").mkdir()
-    _write_csvs(tmp_path / "got", raw, z, zs, phi)
-    reference_write_samples(tmp_path / "ref" / "samples.csv", raw, z)
-    reference_write_cdf(tmp_path / "ref" / "cdf.csv", zs, phi)
+    z = (report.raw_samples - report.centering_value) / report.scale_value
+    zs = np.sort(z)
+    _write_csvs(tmp_path / "got", report)
+    reference_write_samples(tmp_path / "ref" / "samples.csv", report.raw_samples, z)
+    reference_write_cdf(tmp_path / "ref" / "cdf.csv", zs, harness.normal_cdf(zs))
     for name in ("samples.csv", "cdf.csv"):
         assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
     return (tmp_path / "ref" / "cdf.csv").read_text()
@@ -176,6 +180,31 @@ class TestErrors:
         assert main(["clt-hitting", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "experiment.replicas" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", [
+        {"model": {"type": "iid_discrete"}},
+        {"model": {"type": "quasi_periodic", "alpha": 0.6180339887498949, "omega0": 0.0}},
+        {"model": {"type": "iid_parametric", "family": "beta", "p_lo": 0.55, "p_hi": 0.95,
+                   "params": [2.0, 2.0]}},
+        {"model": {"type": "iid_discrete", "atoms": [[0.6]]}},
+        {"model": {"type": "iid_parametric", "family": "beta", "p_lo": 0.55, "p_hi": 0.95,
+                   "params": {"a": "x", "b": 2.0}}},
+        None,
+        b'{"model": {"type": "constant", "p": 0.75}, "experiment": {"centering": "\xe9"}}',
+    ], ids=["atoms-missing", "coeffs-missing", "params-list", "atom-short", "shape-str",
+            "config-directory", "config-latin-1"])
+    def test_malformed_input_is_a_config_error(self, tmp_path, capsys, content):
+        # each exits 2 with one labelled line, not a traceback
+        path = tmp_path / "cfg.json"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(json.dumps(content))
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.json"),
@@ -340,33 +369,42 @@ class TestErrors:
 class TestCsvWriter:
     """The one CSV writer against the row-by-row writers it replaced."""
 
-    def test_clt_run_with_ties(self, tmp_path):
-        cfg = harness.ExperimentConfig(
-            model=IidDiscrete(atoms=((0.8, 0.5), (0.6, 0.5))),
-            kind="clt_hitting", n=200, replicas=2000, master_seed=11,
-        )
-        rep = harness.clt_hitting(cfg)
-        z = rep.standardized
-        assert np.unique(z).size < z.size / 4  # many replicas share a T(n)
-        text = assert_same_csvs(tmp_path, rep.raw_samples, z, rep.sorted_standardized,
-                                rep.sorted_phi)
+    @staticmethod
+    def check_clt_run(tmp_path, command, experiment):
+        """The writer against the references on a run with ties, and the CLI's cdf.csv."""
+        experiment = {**experiment, "replicas": 2000, "ks_threshold": 1.0}
+        cfg = harness.ExperimentConfig(model=IidDiscrete(atoms=((0.8, 0.5), (0.6, 0.5))),
+                                       master_seed=11, **experiment)
+        rep = getattr(harness, experiment["kind"])(cfg)
+        assert rep.values.size < rep.replicas / 4  # many replicas share a T(n) or X(t)
+        text = assert_same_csvs(tmp_path, rep)
         out = tmp_path / "cli"
         cli_cfg = write_config(tmp_path / "c.json",
                                {"type": "iid_discrete", "atoms": [[0.8, 0.5], [0.6, 0.5]]},
-                               {"kind": "clt_hitting", "n": 200, "replicas": 2000}, {"master": 11})
-        assert main(["clt-hitting", "--config", cli_cfg, "--out", str(out)]) == 0
+                               experiment, {"master": 11})
+        assert main([command, "--config", cli_cfg, "--out", str(out)]) == 0
         assert (out / "cdf.csv").read_text() == text
 
+    def test_clt_run_with_ties(self, tmp_path):
+        self.check_clt_run(tmp_path, "clt-hitting", {"kind": "clt_hitting", "n": 200})
+
+    def test_clt_position_run_with_ties(self, tmp_path):
+        self.check_clt_run(tmp_path, "clt-position",
+                           {"kind": "clt_position", "t": 400, "env_replicates": 2})
+
     def test_special_values(self, tmp_path):
-        other_nan = np.array([0x7FF8_0000_0000_0001], dtype=np.int64).view(np.float64)[0]
-        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, other_nan, 0.1, 1e-300, 5e-324]
-        z = np.array(specials * 3 + [0.1, 0.1, 2.5, -2.5])
-        raw = np.arange(z.size, dtype=np.int64) % 5 - 2
-        zs = np.sort(z)
-        phi = harness.normal_cdf(zs)
-        phi[:4] = [np.inf, -np.inf, np.nan, -0.0]  # and a Phi column no normal_cdf gives
-        text = assert_same_csvs(tmp_path, raw, z, zs, phi)
-        assert "-0.0" in text and "-inf" in text and "nan" in text
+        # an integer sample standardized by a positive scale holds no -0.0 and
+        # no NaN; it can hold values in exponent form, ties, and a Phi that is
+        # subnormal or exactly 0.0 or 1.0
+        raw = np.array([3, 4, 4, 2, -3_799_997, -4_099_997, 10**15, -10**15, 3, 5, 5, 5, 4])
+        rows, values, counts, phi, _ = harness._cdf_table(raw, 3.0, 1e5)
+        report = SimpleNamespace(raw_samples=raw, centering_value=3.0, scale_value=1e5,
+                                 rows=rows, values=values, counts=counts, phi=phi)
+        assert phi[0] == phi[1] == 0.0 and 0.0 < phi[2] < 2.2250738585072014e-308 and phi[-1] == 1.0
+        text = assert_same_csvs(tmp_path, report)
+        assert "\n-38.0,0.23076923076923078,2.88542835e-316," in text
+        assert "\n1e-05,0.6923076923076923,0.500003989422804," in text
+        assert "\n9999999999.99997,1.0,1.0,0.0\n" in text
 
 
 class TestSeedPrecedence:

@@ -66,6 +66,58 @@ class TestKsDistance:
         assert moved == pytest.approx(base, abs=1e-12)
 
 
+def _ks_from_sorted(f: np.ndarray) -> float:
+    """KS distance from ``f``, the reference CDF at each sorted sample value."""
+    m = len(f)
+    i = np.arange(1, m + 1, dtype=np.float64)
+    return float(max(np.max(np.abs(f - i / m)), np.max(np.abs(f - (i - 1.0) / m))))
+
+
+class TestCdfTable:
+    """The driver's one table against ``_ks_from_sorted``, the KS over the
+    whole sorted standardized sample that the driver computed before."""
+
+    @staticmethod
+    def check(samples, center, scale):
+        rows, values, counts, phi, ks = harness._cdf_table(np.asarray(samples), center, scale)
+        z = (np.asarray(samples) - center) / scale
+        zs = np.sort(z)
+        assert values[rows].tobytes() == z.tobytes()
+        assert np.repeat(values, counts).tobytes() == zs.tobytes()
+        assert np.repeat(phi, counts).tobytes() == normal_cdf(zs).tobytes()
+        ref = _ks_from_sorted(normal_cdf(zs))
+        assert ks.hex() == ref.hex() == ks_distance(z).hex()
+
+    @pytest.mark.parametrize("samples", [
+        np.random.default_rng(3).binomial(40, 0.3, 5000) * 2 - 7,
+        np.full(300, 7),
+        np.array([42]),
+        np.array([3] * 5 + [9] * 2),
+        np.array([9, 3, 3, 9, 3]),
+    ], ids=["heavy-ties", "all-equal", "single", "two-values", "two-values-unsorted"])
+    def test_ks_matches_sorted_reference(self, samples):
+        self.check(samples, float(np.mean(samples)) + 0.1, 1.7)
+
+    @given(samples=st.lists(st.integers(-60, 60), min_size=1, max_size=400),
+           center=st.floats(-80.0, 80.0), scale=st.floats(0.01, 100.0))
+    @settings(max_examples=60, deadline=None)
+    def test_ks_matches_sorted_reference_on_any_sample(self, samples, center, scale):
+        self.check(samples, center, scale)
+
+    @pytest.mark.parametrize("driver,fields", [
+        (clt_hitting, {"n": 300}),
+        (clt_position, {"t": 400, "centering": "implicit"}),
+    ], ids=["hitting", "position"])
+    def test_later_replicate_ks_is_its_ks_distance(self, two_point, driver, fields):
+        cfg = ExperimentConfig(model=two_point, replicas=400, env_replicates=2, master_seed=4,
+                               **fields)
+        rep = driver(cfg)
+        second = driver(ExperimentConfig(model=two_point, replicas=400, master_seed=4,
+                                         env_seed=cfg.resolved_env_seed(1), **fields))
+        assert rep.ks_distribution[1] == ks_distance(second.standardized)
+        assert rep.ks_distribution[1] != rep.ks_distance
+
+
 class TestNormalCdf:
     def test_array_with_repeats_matches_each_value(self):
         # Phi of an array is taken once per distinct value and gathered

@@ -31,7 +31,6 @@ from rwre.walk import (
     REPLICA_CHUNK,
     SimulationBudget,
     WalkObservation,
-    _simulate,
     _uniforms,
     batch_hitting_times,
     batch_positions,
@@ -271,11 +270,18 @@ PARITY_LAWS = {
 TWO_POINT_WINDOW = realize(PARITY_LAWS["two-point"], -300, 30_000, seed=4)
 
 
+def block_simulate(window, z0, rng, *, left_guard, max_steps, n_stop=None, snap_times=(),
+                   record_path=False):
+    """``sample_position`` called with ``stepped_simulate``'s arguments."""
+    return sample_position(window, z0, snap_times, rng, SimulationBudget(left_guard, max_steps),
+                           n_goal=n_stop, record_path=record_path)
+
+
 def run_both(window, z0, seed, **kw):
     """Run the block engine and the stepped loop from one seed; assert the same
     observation or error and the same next uniform; return the loop's outcome."""
     outcomes = []
-    for simulate in (_simulate, stepped_simulate):
+    for simulate in (block_simulate, stepped_simulate):
         rng = np.random.default_rng(seed)
         try:
             result = simulate(window, z0, rng, **kw)
