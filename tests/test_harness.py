@@ -120,7 +120,7 @@ class TestCdfTable:
 
 class TestNormalCdf:
     def test_array_with_repeats_matches_each_value(self):
-        # Phi of an array is taken once per distinct value and gathered
+        # Phi of an array, repeats, signed zeros and infinities included, is Phi of each value
         z = np.round(np.random.default_rng(3).standard_normal(5000), 2)
         z = np.concatenate([z, [0.0, -0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 0.25]])
         want = np.array([normal_cdf(v) for v in z.tolist()])
