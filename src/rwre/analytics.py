@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,16 +129,17 @@ def site_mean(window: EnvironmentWindow, k: int) -> SiteMoments:
     """
     if k not in window:
         raise WindowTooSmallError(f"site {k} outside window [{window.lo}, {window.hi}]")
-    odds_k = window.odds(k)
+    p, lo = memoryview(window.p), window.lo  # p[i - lo] is the float window.site(i) returns
+    odds_k = (1.0 - p[k - lo]) / p[k - lo]
     total = 1.0
     prod = 1.0
     ratios: deque = deque(maxlen=24)
     j = 0
     while True:
         i = k - j
-        if i < window.lo:
+        if i < lo:
             raise _tail_failure(window, k, ratios)
-        a = window.odds(i)
+        a = (1.0 - p[i - lo]) / p[i - lo]
         prod *= a
         ratios.append(a)
         total += 2.0 * prod
@@ -159,11 +160,11 @@ def site_variance(window: EnvironmentWindow, k: int) -> SiteMoments:
     """
     mean_part = site_mean(window, k)
     start = _burn_start(window, k)
+    p, lo = memoryview(window.p), window.lo  # p[i - lo] is the float window.site(i) returns
     # warm the mean recursion from the seed site up to k
-    mu_arr = np.empty(k - start + 1)
-    mu_arr[0] = 1.0
-    for idx, i in enumerate(range(start + 1, k + 1), start=1):
-        mu_arr[idx] = window.odds(i) * mu_arr[idx - 1] + 1.0 / window.site(i)
+    mu = [1.0]
+    for i in range(start + 1, k + 1):
+        mu.append((1.0 - p[i - lo]) / p[i - lo] * mu[-1] + 1.0 / p[i - lo])
     total = 0.0
     prod = 1.0
     ratios: deque = deque(maxlen=24)
@@ -172,19 +173,15 @@ def site_variance(window: EnvironmentWindow, k: int) -> SiteMoments:
         i = k - j
         if i - 1 < start:
             raise _tail_failure(window, k, ratios)
-        prod *= window.odds(i)
-        ratios.append(window.odds(i))
-        term = prod * (mu_arr[i - 1 - start] + 1.0) ** 2 / window.site(i)
+        a = (1.0 - p[i - lo]) / p[i - lo]
+        prod *= a
+        ratios.append(a)
+        term = prod * (mu[i - 1 - start] + 1.0) ** 2 / p[i - lo]
         total += term
         if prod < _SERIES_TOL * max(total, 1.0) and term < _SERIES_TOL * max(total, 1.0):
             break
         j += 1
-    return SiteMoments(
-        odds=mean_part.odds,
-        mu=mean_part.mu,
-        mu_trunc_bound=mean_part.mu_trunc_bound,
-        sigma2=total,
-    )
+    return replace(mean_part, sigma2=total)
 
 
 def _burn_start(window: EnvironmentWindow, k0: int) -> int:

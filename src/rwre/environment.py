@@ -80,7 +80,8 @@ class IidDiscrete:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        atoms = tuple((float(p), float(w)) for p, w in self.atoms)
+        atoms = _converted("model.atoms", lambda v: tuple((float(p), float(w)) for p, w in v),
+                           self.atoms)
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ModelError("model.atoms: at least one atom is required")
@@ -115,7 +116,8 @@ class IidParametric:
         _check_prob("model.p_hi", self.p_hi)
         if not self.p_lo < self.p_hi:
             raise ModelError("model.p_lo: support bounds must satisfy p_lo < p_hi")
-        params = tuple(sorted((str(k), float(v)) for k, v in self.params))
+        params = _converted("model.params",
+                            lambda v: tuple(sorted((str(k), float(x)) for k, x in v)), self.params)
         object.__setattr__(self, "params", params)
         if self.family == "beta":
             d = dict(params)
@@ -143,11 +145,12 @@ class QuasiPeriodic:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if not 0.0 < self.alpha < 1.0:
-            raise ModelError(f"model.alpha: rotation number must lie in (0,1), got {self.alpha}")
-        if not 0.0 <= self.omega0 < 1.0:
-            raise ModelError(f"model.omega0: initial phase must lie in [0,1), got {self.omega0}")
+        coeffs = _converted("model.coeffs", lambda v: tuple(float(c) for c in v), self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
+            raise ModelError(f"model.alpha: rotation number must lie in (0,1), got {self.alpha!r}")
+        if not (isinstance(self.omega0, (int, float)) and 0.0 <= self.omega0 < 1.0):
+            raise ModelError(f"model.omega0: initial phase must lie in [0,1), got {self.omega0!r}")
         if not self.coeffs:
             raise ModelError("model.coeffs: at least the constant coefficient is required")
         grid = np.arange(_PHASE_GRID) / _PHASE_GRID
@@ -186,6 +189,14 @@ EnvironmentModel = Union[Constant, IidDiscrete, IidParametric, QuasiPeriodic]
 def _check_prob(field: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and 0.0 < float(value) < 1.0):
         raise ModelError(f"{field}: probability must lie strictly in (0,1), got {value!r}")
+
+
+def _converted(field: str, convert, value):
+    """``convert(value)``; a value it cannot convert is a ModelError naming ``field``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{field}: malformed value {value!r}: {exc}") from exc
 
 
 def _small_denominator(alpha: float) -> int | None:
@@ -233,12 +244,12 @@ def model_from_dict(data: dict) -> EnvironmentModel:
         if tag == "constant":
             return Constant(**fields)
         if tag == "iid_discrete":
-            return IidDiscrete(atoms=tuple(tuple(a) for a in fields.pop("atoms")))
+            return IidDiscrete(atoms=fields.pop("atoms"))
         if tag == "iid_parametric":
             params = tuple(fields.pop("params", {}).items())
             return IidParametric(params=params, **fields)
         if tag == "quasi_periodic":
-            return QuasiPeriodic(coeffs=tuple(fields.pop("coeffs")), **fields)
+            return QuasiPeriodic(coeffs=fields.pop("coeffs"), **fields)
     except KeyError as exc:
         raise ModelError(f"model: type {tag!r} needs the field {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,12 @@ from hypothesis import strategies as st
 
 from rwre import analytics
 from rwre.analytics import (
+    _SERIES_TOL,
     MomentProfile,
+    SiteMoments,
     _burn_start,
+    _decay_ratio,
+    _tail_failure,
     closed_form_variance,
     closed_form_variance_printed,
     reference_crossing_mean,
@@ -49,6 +54,103 @@ def constant_sigma2(p):
     # E tau^2 = p + q E(1 + tau' + tau'')^2 gives Var = (1 - (p-q)^2)/(p-q)^3
     d = 2.0 * p - 1.0
     return (1.0 - d * d) / d**3
+
+
+def reference_site_mean(window, k):
+    """Reference: ``site_mean`` as it read the window through ``window.odds``."""
+    if k not in window:
+        raise WindowTooSmallError(f"site {k} outside window [{window.lo}, {window.hi}]")
+    odds_k = window.odds(k)
+    total = 1.0
+    prod = 1.0
+    ratios: deque = deque(maxlen=24)
+    j = 0
+    while True:
+        i = k - j
+        if i < window.lo:
+            raise _tail_failure(window, k, ratios)
+        a = window.odds(i)
+        prod *= a
+        ratios.append(a)
+        total += 2.0 * prod
+        if prod < _SERIES_TOL * total:
+            break
+        j += 1
+    rho = _decay_ratio(ratios)
+    bound = 2.0 * prod * rho / (1.0 - rho)
+    return SiteMoments(odds=odds_k, mu=total, mu_trunc_bound=bound)
+
+
+def reference_site_variance(window, k):
+    """Reference: ``site_variance`` as it read the window through
+    ``window.odds`` and ``window.site`` and warmed up in a numpy array."""
+    mean_part = reference_site_mean(window, k)
+    start = _burn_start(window, k)
+    # warm the mean recursion from the seed site up to k
+    mu_arr = np.empty(k - start + 1)
+    mu_arr[0] = 1.0
+    for idx, i in enumerate(range(start + 1, k + 1), start=1):
+        mu_arr[idx] = window.odds(i) * mu_arr[idx - 1] + 1.0 / window.site(i)
+    total = 0.0
+    prod = 1.0
+    ratios: deque = deque(maxlen=24)
+    j = 0
+    while True:
+        i = k - j
+        if i - 1 < start:
+            raise _tail_failure(window, k, ratios)
+        prod *= window.odds(i)
+        ratios.append(window.odds(i))
+        term = prod * (mu_arr[i - 1 - start] + 1.0) ** 2 / window.site(i)
+        total += term
+        if prod < _SERIES_TOL * max(total, 1.0) and term < _SERIES_TOL * max(total, 1.0):
+            break
+        j += 1
+    return SiteMoments(
+        odds=mean_part.odds,
+        mu=mean_part.mu,
+        mu_trunc_bound=mean_part.mu_trunc_bound,
+        sigma2=total,
+    )
+
+
+def moments_hex(moments):
+    return tuple(None if v is None else float(v).hex()
+                 for v in (moments.odds, moments.mu, moments.mu_trunc_bound, moments.sigma2))
+
+
+def outcome(fn, window, k):
+    try:
+        return moments_hex(fn(window, k))
+    except (NonSummableError, WindowTooSmallError) as exc:
+        return type(exc), str(exc)
+
+
+SERIES_LAWS = {
+    "two-point": IidDiscrete(((0.8, 0.5), (0.6, 0.5))),
+    "golden": QuasiPeriodic(alpha=(math.sqrt(5.0) - 1.0) / 2.0, omega0=0.0, coeffs=(0.7, 0.1)),
+    "slow": IidDiscrete(((0.75, 0.5), (0.45, 0.5))),
+    "beta": IidParametric(family="beta", p_lo=0.55, p_hi=0.95, params=(("a", 2.0), ("b", 2.0))),
+}
+
+
+class TestSeriesRoute:
+    @pytest.mark.parametrize("name", sorted(SERIES_LAWS))
+    def test_matches_the_window_method_route(self, name):
+        # every field bit for bit, and every tail failure with its message;
+        # the short window's left sites run out of series
+        law = SERIES_LAWS[name]
+        for seed in (1, 2, 3):
+            for lo, hi, step in ((-600, 400, 3), (-40, 60, 1)):
+                w = realize(law, lo, hi, seed)
+                for k in range(lo, hi + 1, step):
+                    assert outcome(site_mean, w, k) == outcome(reference_site_mean, w, k)
+                    assert outcome(site_variance, w, k) == outcome(reference_site_variance, w, k)
+
+    def test_site_outside_window(self, two_point):
+        w = realize(two_point, -40, 60, seed=1)
+        for k in (-41, 61):
+            assert outcome(site_mean, w, k) == outcome(reference_site_mean, w, k)
 
 
 class TestSiteMean:

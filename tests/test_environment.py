@@ -309,6 +309,26 @@ class TestRealize:
         with pytest.raises(ModelError):
             realize(Constant(p=0.5), 3, 1, seed=0)
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: IidDiscrete(atoms=((0.6,),)), "model.atoms"),
+        (lambda: IidDiscrete(atoms=(("x", 1.0),)), "model.atoms"),
+        (lambda: IidDiscrete(atoms=5), "model.atoms"),
+        (lambda: QuasiPeriodic(alpha=0.6, omega0=0.0, coeffs=("x",)), "model.coeffs"),
+        (lambda: QuasiPeriodic(alpha="a", omega0=0.0, coeffs=(0.7, 0.1)), "model.alpha"),
+        (lambda: QuasiPeriodic(alpha=0.6, omega0="a", coeffs=(0.7, 0.1)), "model.omega0"),
+        (lambda: IidParametric(family="beta", p_lo=0.55, p_hi=0.95, params={"a": "x", "b": 2.0}),
+         "model.params"),
+        (lambda: IidParametric(family="beta", p_lo=0.55, p_hi=0.95, params=[1, 2]), "model.params"),
+        (lambda: IidParametric(family="beta", p_lo=0.55, p_hi=0.95, params=(("a", "x"), ("b", 2.0))),
+         "model.params"),
+    ], ids=["atom-of-one", "atom-string", "atoms-int", "coeff-string", "alpha-string",
+            "omega0-string", "params-dict-string", "params-ints", "params-string"])
+    def test_malformed_fields_are_model_errors(self, build, field):
+        # constructed directly, as a library caller does: a field that cannot be
+        # read as numbers raises a ModelError naming it, not a bare TypeError
+        with pytest.raises(ModelError, match=f"^{field}: "):
+            build()
+
     def test_rational_alpha_warns(self):
         with pytest.warns(UserWarning, match="denominator"):
             QuasiPeriodic(alpha=0.25, omega0=0.0, coeffs=(0.7, 0.1))

@@ -242,7 +242,7 @@ class TestSamplePosition:
 
     def test_peak_memory(self):
         # the first-passage record is held once: tracemalloc counts its whole
-        # buffer, one int64 per site from 0 to hi, plus a block's scratch, at
+        # buffer, one int32 per site from 0 to hi, plus a block's scratch, at
         # most eight arrays of _BUF 8-byte items
         n = 100_000
         window = realize(IidDiscrete(((0.8, 0.5), (0.6, 0.5))), -100, n, seed=1)
@@ -254,8 +254,8 @@ class TestSamplePosition:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(obs.hit) == n + 1
-        assert peak < 8 * (window.hi + 1) + 8 * 8 * _BUF
+        assert len(obs.hit) == n + 1 and obs.hit.dtype == np.int32
+        assert peak < 4 * (window.hi + 1) + 8 * 8 * _BUF
 
 
 PARITY_LAWS = {
@@ -279,7 +279,9 @@ def block_simulate(window, z0, rng, *, left_guard, max_steps, n_stop=None, snap_
 
 def run_both(window, z0, seed, **kw):
     """Run the block engine and the stepped loop from one seed; assert the same
-    observation or error and the same next uniform; return the loop's outcome."""
+    observation or error and the same next uniform; return the loop's outcome.
+    The block engine's record (``hit`` and ``tau``) is int32 when ``max_steps``
+    is below 2**31 and int64 otherwise; the loop's is always int64."""
     outcomes = []
     for simulate in (block_simulate, stepped_simulate):
         rng = np.random.default_rng(seed)
@@ -295,11 +297,12 @@ def run_both(window, z0, seed, **kw):
         return ref
     assert got.snapshots == ref.snapshots
     assert all(type(v) is int for snap in got.snapshots for v in snap)
+    record = np.int32 if kw["max_steps"] < 2**31 else np.int64
     for name in ("hit", "tau", "path"):
         a, b = getattr(got, name), getattr(ref, name)
         assert (a is None) == (b is None)
         if b is not None:
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert a.dtype == (b.dtype if name == "path" else record) and np.array_equal(a, b)
     return ref
 
 
@@ -389,6 +392,59 @@ class TestBlockEngine:
         assert isinstance(ref, RightGuardBreachError) and str(ref).endswith(f"at step {_BUF}")
         ref = run_both(realize(tp, -300, 5965, seed=4), 0, 0, left_guard=100, n_stop=5965, **kw)
         assert isinstance(ref, RightGuardBreachError) and not str(ref).endswith(f"at step {_BUF}")
+
+    def test_blocks_capped_at_the_window_ends(self):
+        # a block is no longer than the distance to either window end, so a walk
+        # that starts next to one runs in blocks of a few steps
+        w = realize(PARITY_LAWS["two-point"], -100, 400, seed=4)
+        outcomes = set()
+        for seed in range(4):
+            for z0, kw in ((-99, dict(n_stop=300)), (399, dict(n_stop=400)),
+                           (399, dict(snap_times=[50]))):
+                ref = run_both(w, z0, seed, left_guard=100, max_steps=10**6, record_path=True,
+                               **kw)
+                outcomes.add(type(ref))
+        assert outcomes == {WalkObservation, LeftGuardBreachError, RightGuardBreachError}
+
+    def test_breach_in_the_first_capped_blocks(self):
+        # three sites from the guard or the right edge, the first block is three
+        # steps long; these walkers (found with the stepped loop) breach at its
+        # last step or in the short blocks after it
+        drift_left = realize(Constant(0.4), -20, 50, seed=2)
+        drift_right = realize(Constant(0.6), -100, 30, seed=2)
+        guard_steps, edge_steps = set(), set()
+        for seed in range(12):
+            ref = run_both(drift_left, -17, seed, left_guard=20, max_steps=10**6, n_stop=40)
+            assert isinstance(ref, LeftGuardBreachError)
+            guard_steps.add(int(str(ref).split("at step ")[1].split(";")[0]))
+            ref = run_both(drift_right, 27, seed, left_guard=100, max_steps=10**6,
+                           snap_times=[1000])
+            assert isinstance(ref, RightGuardBreachError)
+            edge_steps.add(int(str(ref).split("at step ")[1]))
+        assert {3, 5, 7} <= guard_steps and {3, 5, 7} <= edge_steps
+
+    def test_record_out_of_reach_of_a_short_block(self):
+        # near the guard the blocks are shorter than the walker's distance back
+        # to its record, which then cannot move; these walkers set a record,
+        # fall back to within a few sites of the guard and still meet the goal
+        w = EnvironmentWindow.from_values([0.95] * 8 + [0.52] * 63, lo=-30)
+        behind = 0
+        for seed in range(30):
+            ref = run_both(w, 0, seed, left_guard=30, max_steps=10**6, n_stop=30,
+                           record_path=True)
+            if isinstance(ref, WalkObservation):
+                gap = np.maximum.accumulate(ref.path) - 2 * ref.path - 30  # (best - x) - (x - lo)
+                behind += int(gap.max() > 0)
+        assert behind >= 5
+
+    def test_record_dtype_follows_the_step_cap(self):
+        ref = run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=2**31 - 1, n_stop=8000)
+        assert ref.hit.dtype == np.int64  # the loop's; run_both checked int32 for the engine
+        obs = block_simulate(TWO_POINT_WINDOW, 0, np.random.default_rng(9), left_guard=100,
+                             max_steps=2**31, n_stop=8000)
+        assert obs.hit.dtype == obs.tau.dtype == np.int64
+        assert np.array_equal(obs.hit, ref.hit)
+        run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=2**31, n_stop=8000)
 
     def test_step_cap_at_hitting_time(self):
         ref = run_both(TWO_POINT_WINDOW, 0, 9, left_guard=100, max_steps=10**6, n_stop=8000)
