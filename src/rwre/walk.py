@@ -4,18 +4,18 @@ Single-replica trajectories record their first-passage times and snapshots,
 and optionally the full path, one uniform per step from blocks of 16384.  Only a
 uniform between the least and greatest p the walker can reach needs its
 position; numpy takes the rest, so a trajectory, its errors and the generator
-state after it are bit for bit those of the step-by-step loop.  Each value is
-held in the narrowest integer type that holds it exactly: a block's moves as
-bytes, its displacements and running record as int32, and the first-passage
-record, filled in place and read for the crossing times, as int32 below a
-step cap of 2**31.
-Batched engines sample by inversion: each replica inverts the exact quenched
-law of T(n) or X(t), computed once per window by ``oracle``'s propagation
-kernel, with one uniform (``oracle._invert_law``).  Replicas draw in
-full-width chunks of 1024, chunk c on the generator spawned with key (c,), so
-a replica's result is a pure function of (master seed, replica index).  The
-CDF lists the law's cells, then the guard and step-cap masses, so the T(n)
-law is propagated only until its CDF passes the largest uniform.
+state after it are bit for bit those of the step-by-step loop.  A block's moves
+are bytes and its displacements and running record int32; the first-passage
+record is one array filled in place, int32 below a step cap of 2**31, and the
+crossing times are read off it.
+Batched engines sample by inversion: the exact quenched law of T(n) or X(t)
+comes once per window from the propagation kernel in ``oracle``, and each
+replica inverts its CDF with one uniform (``oracle._invert_law``).  Replicas
+draw in full-width chunks of 1024, chunk c on the generator spawned with key
+(c,), so every replica's result is a pure function of (master seed, replica
+index).  The CDF lists the law's cells first, then the guard and step-cap
+masses, so the T(n) law is propagated only until its CDF passes the largest
+uniform.
 
 Guard breaches are hard errors, never silent reflections: reflecting at a
 boundary would bias crossing times.  The batched engines raise the guard and
