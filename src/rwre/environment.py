@@ -116,8 +116,9 @@ class IidParametric:
         _check_prob("model.p_hi", self.p_hi)
         if not self.p_lo < self.p_hi:
             raise ModelError("model.p_lo: support bounds must satisfy p_lo < p_hi")
-        params = _converted("model.params",
-                            lambda v: tuple(sorted((str(k), float(x)) for k, x in v)), self.params)
+        params = _converted("model.params",  # a mapping or (name, value) pairs
+                            lambda v: tuple(sorted((str(k), float(x)) for k, x in dict(v).items())),
+                            self.params)
         object.__setattr__(self, "params", params)
         if self.family == "beta":
             d = dict(params)
@@ -147,10 +148,12 @@ class QuasiPeriodic:
     def __post_init__(self) -> None:
         coeffs = _converted("model.coeffs", lambda v: tuple(float(c) for c in v), self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
-        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
-            raise ModelError(f"model.alpha: rotation number must lie in (0,1), got {self.alpha!r}")
-        if not (isinstance(self.omega0, (int, float)) and 0.0 <= self.omega0 < 1.0):
-            raise ModelError(f"model.omega0: initial phase must lie in [0,1), got {self.omega0!r}")
+        object.__setattr__(self, "alpha", _converted("model.alpha", float, self.alpha))
+        object.__setattr__(self, "omega0", _converted("model.omega0", float, self.omega0))
+        if not 0.0 < self.alpha < 1.0:
+            raise ModelError(f"model.alpha: rotation number must lie in (0,1), got {self.alpha}")
+        if not 0.0 <= self.omega0 < 1.0:
+            raise ModelError(f"model.omega0: initial phase must lie in [0,1), got {self.omega0}")
         if not self.coeffs:
             raise ModelError("model.coeffs: at least the constant coefficient is required")
         grid = np.arange(_PHASE_GRID) / _PHASE_GRID
@@ -246,8 +249,7 @@ def model_from_dict(data: dict) -> EnvironmentModel:
         if tag == "iid_discrete":
             return IidDiscrete(atoms=fields.pop("atoms"))
         if tag == "iid_parametric":
-            params = tuple(fields.pop("params", {}).items())
-            return IidParametric(params=params, **fields)
+            return IidParametric(params=fields.pop("params", {}), **fields)
         if tag == "quasi_periodic":
             return QuasiPeriodic(coeffs=fields.pop("coeffs"), **fields)
     except KeyError as exc:

@@ -4,10 +4,10 @@ Single-replica trajectories record their first-passage times and snapshots,
 and optionally the full path, one uniform per step from blocks of 16384.  Only a
 uniform between the least and greatest p the walker can reach needs its
 position; numpy takes the rest, so a trajectory, its errors and the generator
-state after it are bit for bit those of the step-by-step loop.  A block's moves
-are bytes and its displacements and running record int32; the first-passage
-record is one array filled in place, int32 below a step cap of 2**31, and the
-crossing times are read off it.
+state after it are bit for bit those of the step-by-step loop.  The moves of
+the open uniforms are gathered as bytes, a block's steps and running record are
+built in place, and the first-passage record, int32 below a step cap of 2**31,
+is one array filled in place; crossing times are read off it.
 Batched engines sample by inversion: the exact quenched law of T(n) or X(t)
 comes once per window from the propagation kernel in ``oracle``, and each
 replica inverts its CDF with one uniform (``oracle._invert_law``).  Replicas
@@ -100,19 +100,19 @@ def sample_position(
 ) -> WalkObservation:
     """Position snapshots X(t) at the requested times from one trajectory.
 
-    The observation also carries the trajectory's first-passage record
-    ``hit`` up to the furthest site it reached.  With ``n_goal`` the walk
-    runs on until it first reaches ``n_goal``, so T(0)..T(n_goal) are all
-    recorded: the joint mode of the LLN and coupling identity checks.  The
-    walk stops at ``budget.max_steps`` steps and at the left guard
-    ``-budget.left_guard``.  ``hit`` is int32 when ``max_steps < 2**31``, else
-    int64.  Each block of steps is no longer than the distance from the
-    walker to either window end, so every step of it starts inside (lo, hi).
+    The observation also carries the first-passage record ``hit`` (int32
+    when ``max_steps < 2**31``, else int64) up to the furthest site reached.
+    With ``n_goal`` the walk runs on until it first reaches ``n_goal``, so
+    T(0)..T(n_goal) are all recorded: the joint mode of the LLN and coupling
+    identity checks.  The walk stops at ``budget.max_steps`` steps and at the
+    left guard ``-budget.left_guard``.
     """
     snap_times = sorted(int(t) for t in t_list)
     if snap_times and snap_times[0] < 0:
         raise ModelError("sample_position: snapshot times must be >= 0")
-    lo, hi = window.lo, window.hi
+    lo = window.lo
+    hi = window.hi
+    span = hi - lo
     if z0 <= lo or z0 >= hi:
         raise WindowTooSmallError(f"start {z0} not strictly inside window [{lo}, {hi}]")
     if n_goal is not None and n_goal > hi:
@@ -139,14 +139,13 @@ def sample_position(
             buf = rng.random(_BUF)
             bi = 0
         # the steps surely still needed, else a look-ahead of t + 256: short walks
-        # pay for about the steps they take, long ones take whole blocks; capped
-        # at the window ends, so every step of the block starts inside (lo, hi)
-        n = min(_BUF - bi, max_steps - t, max(t_need - t, goal - best, t + 256), x - lo, hi - x)
+        # pay for about the steps they take, long ones take whole blocks
+        n = min(_BUF - bi, max_steps - t, max(t_need - t, goal - best, t + 256))
         u = buf[bi : bi + n]
         bi += n
         # u below the least p these steps can reach is a right step, u at or
         # above the greatest a left one; the rest are resolved in order
-        near = window.p[x - n - lo : x + n - lo + 1]
+        near = window.p[max(x - n, lo) - lo : min(x + n, hi) - lo + 1]
         right = u < near.min()
         open_ = np.flatnonzero(right ^ (u < near.max()))
         dx = right.view(np.int8)
@@ -155,51 +154,50 @@ def sample_position(
         dx[open_] = 0
         moves = bytearray()  # +1 or -1 as int8 bytes
         append = moves.append
-        shift = x - lo
-        for i, v in zip(np.cumsum(dx, dtype=np.int32)[open_].tolist(), u[open_].tolist()):
+        shift = 0
+        for i, v in zip((np.cumsum(dx)[open_] + (x - lo)).tolist(), u[open_].tolist()):
             i += shift
+            if not 0 < i < span:
+                break  # the walk has ended before any step that starts outside (lo, hi)
             if v < sites[i]:
                 append(1)
                 shift += 1
             else:
                 append(255)
                 shift -= 1
-        dx[open_] = np.frombuffer(moves, dtype=np.int8)
-        # displacements from x (|d| <= n), d[s] after the block's step s, and their
-        # running record; a record more than n ahead is out of reach and counts
-        # as n, a goal already met as met at 0, and thresholds clip to n + 1
-        d = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(dx, out=d[1:])
-        xs = d[1:]
-        record = np.maximum.accumulate(d)
-        np.maximum(record, min(best - x, n), out=record)
-        reach = min(goal - x, n + 1) if best < goal else 0
-        guard, edge = max(-left_guard - x, -n - 1), min(hi - x, n + 1)
+        dx[open_[: len(moves)]] = np.frombuffer(moves, dtype=np.int8)
+        xs = np.cumsum(dx)
+        xs += x
+        record = np.maximum.accumulate(xs)
+        np.maximum(record, best, out=record)
         # steps taken: the whole block, unless its record reaches the goal or
         # it reaches the guard or the right edge; only then are masks built
-        k = n
-        if record[n] >= reach or xs.min() <= guard or xs.max() >= edge:
-            done = record[1:] >= reach
+        k, ends = n, None
+        if record[-1] >= goal or xs.min() <= -left_guard or xs.max() >= hi:
+            done = record >= goal
             done[: max(t_need - t - 1, 0)] = False
-            left = xs <= guard
-            ends = left | done | (xs >= edge)
+            left = xs <= -left_guard
+            ends = left | done | (xs >= hi)
             if ends.any():
                 k = int(ends.argmax()) + 1
-                if left[k - 1]:
-                    raise LeftGuardBreachError(f"walker reached left guard {-left_guard} at step "
-                                               f"{t + k}; enlarge the guard")
-                if not done[k - 1]:
-                    raise RightGuardBreachError(f"walker reached right window edge {hi} at step {t + k}")
-        top = max(best, x + int(record[k]))
-        hit[best - z0 + 1 : top - z0 + 1] = t + 1 + np.flatnonzero(record[1 : k + 1] != record[:k])
-        best = top
+        hit[best - z0 + 1 : record[k - 1] - z0 + 1] = (
+            t + 1 + np.flatnonzero(np.diff(record[:k], prepend=best))
+        )
         if record_path:
-            path.append(np.add(xs[:k], x, dtype=np.int64))
+            path.append(xs[:k])
         while si < len(snap_times) and snap_times[si] <= t + k:
-            snaps.append((snap_times[si], x + int(xs[snap_times[si] - t - 1])))
+            snaps.append((snap_times[si], int(xs[snap_times[si] - t - 1])))
             si += 1
         t += k
-        x += int(xs[k - 1])
+        if ends is not None and ends[k - 1]:
+            if left[k - 1]:
+                raise LeftGuardBreachError(
+                    f"walker reached left guard {-left_guard} at step {t}; enlarge the guard"
+                )
+            if not done[k - 1]:
+                raise RightGuardBreachError(f"walker reached right window edge {hi} at step {t}")
+        x = int(xs[k - 1])
+        best = int(record[k - 1])
     return WalkObservation(
         hit=hit[: best - z0 + 1],  # a view: a copy would hold the record twice
         snapshots=tuple(snaps),

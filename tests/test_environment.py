@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -328,6 +329,17 @@ class TestRealize:
         # read as numbers raises a ModelError naming it, not a bare TypeError
         with pytest.raises(ModelError, match=f"^{field}: "):
             build()
+
+    def test_params_mapping_or_pairs(self):
+        # a mapping, the form a JSON config holds, reads as its (name, value) pairs
+        pairs = IidParametric(family="beta", p_lo=0.55, p_hi=0.95, params=(("b", 3), ("a", 2.0)))
+        assert IidParametric(family="beta", p_lo=0.55, p_hi=0.95,
+                             params={"a": 2.0, "b": 3.0}) == pairs
+        assert pairs.params == (("a", 2.0), ("b", 3.0))
+
+    def test_phases_convert_like_the_other_fields(self):
+        model = QuasiPeriodic(alpha=np.float32(0.6180339), omega0=Decimal("0.25"), coeffs=(0.7, 0.1))
+        assert type(model.alpha) is float and model.omega0 == 0.25
 
     def test_rational_alpha_warns(self):
         with pytest.warns(UserWarning, match="denominator"):
