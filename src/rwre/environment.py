@@ -70,7 +70,7 @@ class Constant:
     p: float
 
     def __post_init__(self) -> None:
-        _check_prob("model.p", self.p)
+        object.__setattr__(self, "p", _check_prob("model.p", self.p))
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ class IidParametric:
     def __post_init__(self) -> None:
         if self.family not in ("uniform", "beta"):
             raise ModelError(f"model.family: unknown family {self.family!r}")
-        _check_prob("model.p_lo", self.p_lo)
-        _check_prob("model.p_hi", self.p_hi)
+        object.__setattr__(self, "p_lo", _check_prob("model.p_lo", self.p_lo))
+        object.__setattr__(self, "p_hi", _check_prob("model.p_hi", self.p_hi))
         if not self.p_lo < self.p_hi:
             raise ModelError("model.p_lo: support bounds must satisfy p_lo < p_hi")
         params = _converted("model.params",  # a mapping or (name, value) pairs
@@ -189,9 +189,11 @@ class QuasiPeriodic:
 EnvironmentModel = Union[Constant, IidDiscrete, IidParametric, QuasiPeriodic]
 
 
-def _check_prob(field: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and 0.0 < float(value) < 1.0):
+def _check_prob(field: str, value) -> float:
+    p = _converted(field, float, value)
+    if not 0.0 < p < 1.0:
         raise ModelError(f"{field}: probability must lie strictly in (0,1), got {value!r}")
+    return p
 
 
 def _converted(field: str, convert, value):

@@ -549,7 +549,7 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
 
     Purely analytic in the environment: no walkers are run.  Verdicts are
     qualitative trends (medians decreasing with scale), as no convergence
-    rate is available in general.
+    rate is available in general.  Each replicate's arrays die before the next is realized.
     """
     summ = analytics.summary(config.model)
     t_grid = config.t_grid or (1000, 10_000, 100_000)
@@ -564,8 +564,8 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
     k_needed = max(k_needed, n_max + int(n_max ** ((1 + c) / 2)) + 2, 256) + 64
 
     env_seeds = tuple(config.resolved_env_seed(rep) for rep in range(config.env_replicates))
-    rows = []  # one row of the seven statistics per environment replicate
-    for env_seed in env_seeds:
+
+    def replicate(env_seed):  # one row of the seven statistics
         window = realize(config.model, -suggested_burn_in(config.model), k_needed + 1, env_seed)
         profile = MomentProfile(window)
         centered = profile.mu_array(k_needed) - summ.mu
@@ -603,8 +603,10 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
             hs_sqrt.append(running[n - 1] / math.sqrt(n))
             hs_n.append(running[n - 1] / n)
             h_scaled.append(abs(prefix[n]) / n ** ((1 + c) / 2.0))
-        rows.append((np.abs(exp_sums), np.abs(exp_sums_shift), np.abs(imp_sums),
-                     rng_stat, hs_sqrt, hs_n, h_scaled))
+        return (np.abs(exp_sums), np.abs(exp_sums_shift), np.abs(imp_sums),
+                rng_stat, hs_sqrt, hs_n, h_scaled)
+
+    rows = [replicate(env_seed) for env_seed in env_seeds]
 
     (exp_med, exp_shift_med, imp_med, range_med, hstar_sqrt_med, hstar_n_med,
      hscaled_med) = (_median(np.array(column)) for column in zip(*rows))

@@ -93,10 +93,21 @@ class FiniteChainSolution:
         return -np.diff(self.h)
 
 
-def _sweep_chunk(p, f, phi_prev, d_prev, phi_out, d_out):
+def _phi_rows(P, Q, starts):
+    """(phi, den) at every site of the blocks of P, each run from its start phi."""
+    PHI, DEN = np.empty_like(P), np.empty_like(P)
+    prev = starts
+    for p_j, q_j, phi_j, den_j in zip(P, Q, PHI, DEN):
+        np.multiply(q_j, prev, out=den_j)
+        np.subtract(1.0, den_j, out=den_j)
+        prev = np.divide(p_j, den_j, out=phi_j)
+    return PHI, DEN
+
+
+def _sweep_chunk(p, f, phi_prev, d_prev, d_out):
     """The forward sweep over one chunk of interior sites with probabilities
     p and forcing f; (phi_prev, d_prev) belong to the site left of p[0].
-    Fills phi_out and d_out and returns (phi, d) at the chunk's last site."""
+    Fills d_out; returns (phi, d) at the chunk's last site and the blocks' phi starts."""
     bs = min(len(p), _SCAN_BLOCK)
     P = _blocks(p, 0.5, bs)
     F = _blocks(f, 0.0, bs)
@@ -121,12 +132,7 @@ def _sweep_chunk(p, f, phi_prev, d_prev, phi_out, d_out):
         psi = ab * psi / (psi + db * x)
         x = 1.0 - psi
     # every block re-runs the loop's phi from its start, keeping each den
-    PHI, DEN = np.empty_like(P), np.empty_like(P)
-    prev = starts
-    for p_j, q_j, phi_j, den_j in zip(P, Q, PHI, DEN):
-        np.multiply(q_j, prev, out=den_j)
-        np.subtract(1.0, den_j, out=den_j)
-        prev = np.divide(p_j, den_j, out=phi_j)
+    PHI, DEN = _phi_rows(P, Q, starts)
     # d -> (q d + f)/den is affine: a block's slope is the product of q/den
     # and its offset the loop run from a zero start
     off = np.zeros(nb)
@@ -139,17 +145,18 @@ def _sweep_chunk(p, f, phi_prev, d_prev, phi_out, d_out):
         f_j += q_j * prev
         f_j /= den_j
         prev = f_j
-    _unblock(PHI, phi_out)
     _unblock(F, d_out)
-    return float(phi_out[-1]), float(d_out[-1])
+    return float(PHI.T.flat[len(p) - 1]), float(d_out[-1]), starts
 
 
-def _substitute_chunk(phi, h, h_next):
+def _substitute_chunk(p, starts, h, h_next):
     """Back substitution h_k = phi_k h_{k+1} + d_k over one chunk, in place:
-    h holds d on entry; h_next is the solution right of the chunk.  Returns
-    the solution at the chunk's first site."""
+    h holds d on entry, phi is re-run from the sweep's block starts, and h_next
+    is the solution right of the chunk.  Returns the solution at its first site."""
     bs = min(len(h), _SCAN_BLOCK)
-    PHI = _blocks(phi, 1.0, bs)  # padded sites pass h_next through unchanged
+    P = _blocks(p, 0.5, bs)
+    PHI = _phi_rows(P, 1.0 - P, starts)[0]
+    PHI[(len(h) - 1) % bs + 1 :, -1] = 1.0  # padded sites pass h_next through unchanged
     H = _blocks(h, 0.0, bs)
     off = np.zeros(PHI.shape[1])
     for phi_j, h_j in zip(PHI[::-1], H[::-1]):
@@ -177,9 +184,9 @@ def solve_finite_chain(
     run as block scans, chunk by chunk: a block's Moebius (phi) or affine
     (d, h) transfer carries the start value across it, then every block
     re-runs the per-site operations above from its start.  d is swept into
-    ``h`` and the substitution overwrites it in place, so phi is the only
-    full-length scratch array.  ``f_values`` holds the interior forcing f_k
-    for k = a+1..n-1.
+    ``h``, which the substitution overwrites in place, and phi is kept as its
+    block starts (1/64 of the chain), so ``h`` is the only full-length array
+    added to ``f_values``, the interior forcing f_k for k = a+1..n-1.
     """
     if not a < n:
         raise ModelError(f"solve_finite_chain: need a < n, got a={a}, n={n}")
@@ -195,14 +202,14 @@ def solve_finite_chain(
         )
     p = window.p[a + 1 - window.lo : n - window.lo]
     h = np.zeros(m + 2)
-    phi = np.empty(m)
     chunks = [(lo, min(lo + _SCAN_CHUNK, m)) for lo in range(0, m, _SCAN_CHUNK)]
-    state = (0.0, 0.0)
+    state, starts = (0.0, 0.0), []  # starts: each chunk's phi block starts
     for lo, hi in chunks:
-        state = _sweep_chunk(p[lo:hi], f[lo:hi], *state, phi[lo:hi], h[lo + 1 : hi + 1])
+        *state, chunk_starts = _sweep_chunk(p[lo:hi], f[lo:hi], *state, h[lo + 1 : hi + 1])
+        starts.append(chunk_starts)
     h_next = 0.0
-    for lo, hi in reversed(chunks):
-        h_next = _substitute_chunk(phi[lo:hi], h[lo + 1 : hi + 1], h_next)
+    for (lo, hi), chunk_starts in zip(reversed(chunks), reversed(starts)):
+        h_next = _substitute_chunk(p[lo:hi], chunk_starts, h[lo + 1 : hi + 1], h_next)
     residual = 0.0
     for lo, hi in chunks:  # h_k - (p_k h_{k+1} + q_k h_{k-1} + f_k), chunk by chunk
         r = p[lo:hi] * h[lo + 2 : hi + 2]
@@ -222,18 +229,21 @@ def expected_hitting_times(window: EnvironmentWindow, a: int, n: int) -> FiniteC
 
 def _variance_forcing(window: EnvironmentWindow, e: FiniteChainSolution) -> np.ndarray:
     """Interior forcing f_k = p_k (e(k+1) - e(k) + 1)^2 + q_k (e(k-1) - e(k) + 1)^2,
-    built in place in two arrays."""
+    built in place in f, _SCAN_CHUNK sites at a time."""
     p = window.p[e.a + 1 - window.lo : e.n - window.lo]
     h = e.h
-    f = h[2:] - h[1:-1]
-    f += 1.0
-    np.square(f, out=f)
-    f *= p
-    back = h[:-2] - h[1:-1]
-    back += 1.0
-    np.square(back, out=back)
-    back *= 1.0 - p
-    f += back
+    f = np.empty(len(p))
+    for lo in range(0, len(p), _SCAN_CHUNK):
+        hi = min(lo + _SCAN_CHUNK, len(p))
+        fc = np.subtract(h[lo + 2 : hi + 2], h[lo + 1 : hi + 1], out=f[lo:hi])
+        fc += 1.0
+        np.square(fc, out=fc)
+        fc *= p[lo:hi]
+        back = h[lo:hi] - h[lo + 1 : hi + 1]
+        back += 1.0
+        np.square(back, out=back)
+        back *= 1.0 - p[lo:hi]
+        fc += back
     return f
 
 

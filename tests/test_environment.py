@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -336,6 +337,31 @@ class TestRealize:
         assert IidParametric(family="beta", p_lo=0.55, p_hi=0.95,
                              params={"a": 2.0, "b": 3.0}) == pairs
         assert pairs.params == (("a", 2.0), ("b", 3.0))
+
+    @pytest.mark.parametrize("build, field, value", [
+        (lambda: Constant(p=np.float32(0.6)), "p", float(np.float32(0.6))),
+        (lambda: Constant(p=Fraction(3, 5)), "p", 0.6),
+        (lambda: Constant(p=Decimal("0.6")), "p", 0.6),
+        (lambda: IidParametric(family="uniform", p_lo=np.float32(0.55), p_hi=0.95),
+         "p_lo", float(np.float32(0.55))),
+        (lambda: IidParametric(family="uniform", p_lo=0.55, p_hi=Fraction(19, 20)), "p_hi", 0.95),
+    ], ids=["constant-float32", "constant-fraction", "constant-decimal", "p_lo-float32",
+            "p_hi-fraction"])
+    def test_probabilities_convert_like_the_other_fields(self, build, field, value):
+        # an in-range probability of any real type is read with float(), as
+        # atoms, alpha and omega0 are, not reported out of range
+        got = getattr(build(), field)
+        assert type(got) is float and got == value
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: Constant(p=None), "model.p"),
+        (lambda: Constant(p="x"), "model.p"),
+        (lambda: IidParametric(family="uniform", p_lo=None, p_hi=0.95), "model.p_lo"),
+        (lambda: IidParametric(family="uniform", p_lo=0.55, p_hi=[0.95]), "model.p_hi"),
+    ], ids=["constant-none", "constant-string", "p_lo-none", "p_hi-list"])
+    def test_unreadable_probability_names_its_field(self, build, field):
+        with pytest.raises(ModelError, match=f"^{field}: malformed value"):
+            build()
 
     def test_phases_convert_like_the_other_fields(self):
         model = QuasiPeriodic(alpha=np.float32(0.6180339), omega0=Decimal("0.25"), coeffs=(0.7, 0.1))

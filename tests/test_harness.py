@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,6 +384,25 @@ class TestDiagnostics:
                            f"'--out', {str(tmp_path / 'out')!r}])\n"
                            "print(code, 'numpy.ma' in sys.modules)")
         assert loaded.split() == ["0", "False"]
+
+    @pytest.mark.parametrize("law", ["two_point", "golden_qp"])
+    def test_one_replicate_alive_at_a_time(self, law, request):
+        # each replicate's window, profile and prefix sums are freed before the
+        # next replicate is realized, so three replicates peak where one does
+        model = request.getfixturevalue(law)
+
+        def peak(replicates):
+            cfg = ExperimentConfig(model=model, kind="diagnostics", env_replicates=replicates,
+                                   master_seed=3)
+            tracemalloc.start()
+            try:
+                fluctuation_diagnostics(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up: law-level summaries and first-call imports
+        assert peak(3) <= peak(1) + 64 * 1024
 
     def test_constant_all_zero(self):
         cfg = ExperimentConfig(

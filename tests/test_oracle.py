@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from rwre.analytics import MomentProfile, site_mean, site_variance
+from rwre.analytics import (
+    _SCAN_BLOCK,
+    _SCAN_CHUNK,
+    MomentProfile,
+    _blocks,
+    _carry,
+    _unblock,
+    site_mean,
+    site_variance,
+)
 from rwre.environment import (
     Constant,
     EnvironmentWindow,
@@ -25,6 +34,8 @@ from rwre.oracle import (
     FiniteChainSolution,
     TRIM_EVERY,
     _propagate,
+    _substitute_chunk,
+    _sweep_chunk,
     exact_position_distribution,
     expected_hitting_times,
     forcing_terms,
@@ -114,6 +125,164 @@ def stepped_solve(window, a, n, f_values):
         np.max(np.abs(h[interior] - (p[interior] * h[2:] + q[interior] * h[:-2] + f)))
     ) if size > 2 else 0.0
     return FiniteChainSolution(a=a, n=n, h=h, residual=residual)
+
+
+# Reference: the finite-chain solve as it ran with a full-length phi array,
+# verbatim but for the names.  The sweep wrote phi and the substitution
+# blocked it again; the forcing was built over the whole chain at once.
+# solve_finite_chain now keeps phi as block starts and re-runs it, and must
+# match these bit for bit.
+
+
+def full_phi_sweep_chunk(p, f, phi_prev, d_prev, phi_out, d_out):
+    """The forward sweep over one chunk of interior sites with probabilities
+    p and forcing f; (phi_prev, d_prev) belong to the site left of p[0].
+    Fills phi_out and d_out and returns (phi, d) at the chunk's last site."""
+    bs = min(len(p), _SCAN_BLOCK)
+    P = _blocks(p, 0.5, bs)
+    F = _blocks(f, 0.0, bs)
+    Q = 1.0 - P
+    nb = P.shape[1]
+    # in psi = 1 - phi the step is psi -> q psi/(p + q psi), the Moebius map
+    # of [[q, 0], [q, p]].  A block's product, rescaled at every site so its
+    # bottom row sums to 1, is [[A, 0], [1 - D, D]]: psi -> A psi/(psi + D phi),
+    # every term positive.  A is psi from a zero phi start, and each rescale
+    # is that start's den = p + q psi.
+    A, D, s = np.ones(nb), np.ones(nb), np.empty(nb)
+    for p_j, q_j in zip(P, Q):
+        A *= q_j
+        np.add(p_j, A, out=s)
+        A /= s
+        D *= p_j
+        D /= s
+    starts = np.empty(nb)
+    x, psi = phi_prev, 1.0 - phi_prev
+    for b, (ab, db) in enumerate(zip(A.tolist(), D.tolist())):
+        starts[b] = x
+        psi = ab * psi / (psi + db * x)
+        x = 1.0 - psi
+    # every block re-runs the loop's phi from its start, keeping each den
+    PHI, DEN = np.empty_like(P), np.empty_like(P)
+    prev = starts
+    for p_j, q_j, phi_j, den_j in zip(P, Q, PHI, DEN):
+        np.multiply(q_j, prev, out=den_j)
+        np.subtract(1.0, den_j, out=den_j)
+        prev = np.divide(p_j, den_j, out=phi_j)
+    # d -> (q d + f)/den is affine: a block's slope is the product of q/den
+    # and its offset the loop run from a zero start
+    off = np.zeros(nb)
+    for q_j, f_j, den_j in zip(Q, F, DEN):
+        off *= q_j
+        off += f_j
+        off /= den_j
+    prev = _carry(np.prod(Q / DEN, axis=0), off, d_prev)
+    for q_j, f_j, den_j in zip(Q, F, DEN):  # F becomes d
+        f_j += q_j * prev
+        f_j /= den_j
+        prev = f_j
+    _unblock(PHI, phi_out)
+    _unblock(F, d_out)
+    return float(phi_out[-1]), float(d_out[-1])
+
+
+def full_phi_substitute_chunk(phi, h, h_next):
+    """Back substitution h_k = phi_k h_{k+1} + d_k over one chunk, in place:
+    h holds d on entry; h_next is the solution right of the chunk.  Returns
+    the solution at the chunk's first site."""
+    bs = min(len(h), _SCAN_BLOCK)
+    PHI = _blocks(phi, 1.0, bs)  # padded sites pass h_next through unchanged
+    H = _blocks(h, 0.0, bs)
+    off = np.zeros(PHI.shape[1])
+    for phi_j, h_j in zip(PHI[::-1], H[::-1]):
+        off *= phi_j
+        off += h_j
+    prev = _carry(np.prod(PHI, axis=0)[::-1], off[::-1], h_next)[::-1]
+    for phi_j, h_j in zip(PHI[::-1], H[::-1]):
+        h_j += phi_j * prev
+        prev = h_j
+    _unblock(H, h)
+    return float(h[0])
+
+
+def full_phi_solve(
+    window: EnvironmentWindow, a: int, n: int, f_values
+) -> FiniteChainSolution:
+    """Exact solve of the two-sided absorbing system by sweep and substitution.
+
+    The forward sweep writes h_k = phi_k h_{k+1} + d_k with
+
+        den_k = 1 - q_k phi_{k-1},  phi_k = p_k / den_k,
+        d_k = (q_k d_{k-1} + f_k) / den_k,
+
+    seeded phi_a = d_a = 0; back substitution from h_n = 0 finishes.  Both
+    run as block scans, chunk by chunk: a block's Moebius (phi) or affine
+    (d, h) transfer carries the start value across it, then every block
+    re-runs the per-site operations above from its start.  d is swept into
+    ``h`` and the substitution overwrites it in place, so phi is the only
+    full-length scratch array.  ``f_values`` holds the interior forcing f_k
+    for k = a+1..n-1.
+    """
+    if not a < n:
+        raise ModelError(f"solve_finite_chain: need a < n, got a={a}, n={n}")
+    if a < window.lo or n > window.hi:
+        raise WindowTooSmallError(
+            f"window [{window.lo}, {window.hi}] does not cover [{a}, {n}]"
+        )
+    f = np.asarray(f_values, dtype=np.float64)
+    m = n - a - 1  # interior sites a+1..n-1
+    if f.shape != (m,):
+        raise ModelError(
+            f"f_values must have length n - a - 1 = {m}, got {f.shape}"
+        )
+    p = window.p[a + 1 - window.lo : n - window.lo]
+    h = np.zeros(m + 2)
+    phi = np.empty(m)
+    chunks = [(lo, min(lo + _SCAN_CHUNK, m)) for lo in range(0, m, _SCAN_CHUNK)]
+    state = (0.0, 0.0)
+    for lo, hi in chunks:
+        state = full_phi_sweep_chunk(p[lo:hi], f[lo:hi], *state, phi[lo:hi], h[lo + 1 : hi + 1])
+    h_next = 0.0
+    for lo, hi in reversed(chunks):
+        h_next = full_phi_substitute_chunk(phi[lo:hi], h[lo + 1 : hi + 1], h_next)
+    residual = 0.0
+    for lo, hi in chunks:  # h_k - (p_k h_{k+1} + q_k h_{k-1} + f_k), chunk by chunk
+        r = p[lo:hi] * h[lo + 2 : hi + 2]
+        q = 1.0 - p[lo:hi]
+        q *= h[lo:hi]
+        r += q
+        r += f[lo:hi]
+        np.subtract(h[lo + 1 : hi + 1], r, out=r)
+        residual = np.maximum(residual, np.abs(r, out=r).max())  # NaN propagates
+    return FiniteChainSolution(a=a, n=n, h=h, residual=float(residual))
+
+
+def full_phi_variance_forcing(window: EnvironmentWindow, e: FiniteChainSolution) -> np.ndarray:
+    """Interior forcing f_k = p_k (e(k+1) - e(k) + 1)^2 + q_k (e(k-1) - e(k) + 1)^2,
+    built in place in two arrays."""
+    p = window.p[e.a + 1 - window.lo : e.n - window.lo]
+    h = e.h
+    f = h[2:] - h[1:-1]
+    f += 1.0
+    np.square(f, out=f)
+    f *= p
+    back = h[:-2] - h[1:-1]
+    back += 1.0
+    np.square(back, out=back)
+    back *= 1.0 - p
+    f += back
+    return f
+
+
+def assert_bit_identical_to_full_phi(window, a, n):
+    """e, the variance forcing and v equal the full-phi reference solve's
+    bit for bit, residuals included."""
+    e, e_ref = expected_hitting_times(window, a, n), full_phi_solve(window, a, n, np.ones(n - a - 1))
+    forcing, forcing_ref = forcing_terms(window, e)["derived"], full_phi_variance_forcing(window, e_ref)
+    v, v_ref = hitting_time_variances(window, a, n), full_phi_solve(window, a, n, forcing_ref)
+    assert forcing.tobytes() == forcing_ref.tobytes()
+    for sol, ref in ((e, e_ref), (v, v_ref)):
+        assert sol.h.tobytes() == ref.h.tobytes()
+        assert sol.residual == ref.residual
 
 
 def assert_close_to_references(window, a, n, f):
@@ -217,9 +386,47 @@ class TestSolveFiniteChain:
         exact = (z - (n - a) * (1 - (ql / pl) ** z) / (1 - (ql / pl) ** (n - a))) / (ql - pl)
         assert np.all(np.abs(e.h[1:-1] - exact) <= 1e-12 * exact)
 
+    @pytest.mark.parametrize("interior", [1, 63, 64, 65, 16383, 16384, 16385,
+                                          3 * _SCAN_CHUNK + 17])
+    def test_block_starts_solve_is_full_phi_solve(self, two_point, interior):
+        # around one block and one chunk of the scan: phi re-run from the
+        # block starts is the phi the sweep wrote, so e, v and the forcing are
+        w = realize(two_point, -20, interior + 20, seed=interior)
+        assert_bit_identical_to_full_phi(w, -5, interior - 4)
+
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 100, 16384])
+    def test_chunk_scans_are_full_phi_scans(self, size):
+        # one chunk on its own, entered from a nonzero state and left into a
+        # nonzero h_next: inside a chain only the last chunk has a padded
+        # block, and there h_next is 0, so the chain tests cannot see the
+        # padded sites' phi or the last site's state.  p drifts left, so phi
+        # stays away from 1, where a padded site would copy its neighbour
+        rng = np.random.default_rng(size)
+        p, f = rng.uniform(0.3, 0.6, size=size), rng.uniform(0.0, 3.0, size=size)
+        phi_ref, d_ref, d = np.empty(size), np.empty(size), np.empty(size)
+        state_ref = full_phi_sweep_chunk(p, f, 0.3, 1.7, phi_ref, d_ref)
+        *state, starts = _sweep_chunk(p, f, 0.3, 1.7, d)
+        assert tuple(state) == state_ref and d.tobytes() == d_ref.tobytes()
+        assert _substitute_chunk(p, starts, d, 3.7) == full_phi_substitute_chunk(phi_ref, d_ref, 3.7)
+        assert d.tobytes() == d_ref.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("law", ["two-point", "slow", "constant-0.5", "golden"])
+    def test_block_starts_solve_is_full_phi_solve_per_law(self, law, seed):
+        # five chunks of each law, the last one partial
+        model = {**HITTING_LAWS, "constant-0.5": Constant(0.5)}[law]
+        a, n = -1000, 4 * _SCAN_CHUNK + 100
+        assert_bit_identical_to_full_phi(realize(model, a, n, seed=seed), a, n)
+
+    def test_library_chain_is_full_phi_solve(self, two_point):
+        a, n = -2000, 200_000
+        assert_bit_identical_to_full_phi(realize(two_point, a, n, seed=1), a, n)
+
     def test_variance_peak_memory(self, two_point):
-        # the library chain of the analysis benchmark: e, the forcing, v and
-        # phi are the only full-length arrays, so the peak stays under six
+        # the library chain of the analysis benchmark, its window realized
+        # before tracing: e then the forcing, or the forcing then v, are the
+        # only full-length arrays alive (phi is kept as block starts), so the
+        # peak stays under two of them plus eight chunk-sized scan arrays
         a, n = -2000, 200_000
         w = realize(two_point, a, n, seed=1)
         tracemalloc.start()
@@ -228,7 +435,7 @@ class TestSolveFiniteChain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 8 * (n - a + 1)
+        assert peak < 2 * 8 * (n - a + 1) + 8 * 8 * _SCAN_CHUNK
 
     def test_argument_validation(self):
         w = realize(Constant(0.75), -10, 10, seed=0)
