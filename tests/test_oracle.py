@@ -390,7 +390,8 @@ class TestSolveFiniteChain:
                                           3 * _SCAN_CHUNK + 17])
     def test_block_starts_solve_is_full_phi_solve(self, two_point, interior):
         # around one block and one chunk of the scan: phi re-run from the
-        # block starts is the phi the sweep wrote, so e, v and the forcing are
+        # block starts is the phi the sweep wrote, so e, v and the forcing
+        # keep their bytes
         w = realize(two_point, -20, interior + 20, seed=interior)
         assert_bit_identical_to_full_phi(w, -5, interior - 4)
 
