@@ -22,11 +22,12 @@ recursions run over a grid of circle phases and averaged.
 
 The profile is built once per window, over sites 0..hi, so each of its
 values is a pure function of the window and not of the order of calls.  It
-runs the recursions as a block scan: each block's affine transfer carries
-start values across block boundaries, and every block then re-runs the
-one-step recursions from its start, all blocks at once in numpy.  Each site
-gets the loop's floating-point operations (the square is x*x), so only a
-carried block start can differ from the loop's, in the last bits.
+runs each recursion through ``_affine_scan``, the block scan ``oracle``'s
+solve shares: each block's affine transfer carries start values across
+block boundaries, and every block then re-runs the one-step recursion from
+its start, all blocks at once in numpy.  Each site gets the loop's
+floating-point operations (the square is x*x), so only a carried block
+start can differ from the loop's, in the last bits.
 """
 
 from __future__ import annotations
@@ -243,6 +244,24 @@ def _carry(slope, off, x):
     return starts
 
 
+def _affine_scan(step, rows, slope, x0, out, reverse=False):
+    """An affine recursion down the site rows of (bs, nb) block arrays, all
+    blocks at once; ``step(x, row)`` advances x in place by one site row's
+    operands.  Each block's offset runs from a zero start, ``_carry`` takes
+    the block starts from x0 through ``slope`` (right to left if ``reverse``),
+    and every row of ``rows`` is re-run from its block's start into the same
+    row of ``out``, which may hold its operands.  Returns the starts."""
+    x = np.zeros(len(slope))
+    for row in rows:
+        step(x, row)
+    starts = _carry(slope[::-1], x[::-1], x0)[::-1] if reverse else _carry(slope, x, x0)
+    x = starts.copy()
+    for row, y in zip(rows, out):
+        step(x, row)
+        y[...] = x
+    return starts
+
+
 def _scan_chunk(p, state, mu_out, var_out, h_out):
     """Block scan of the one-step recursions over sites with probabilities p.
 
@@ -253,28 +272,18 @@ def _scan_chunk(p, state, mu_out, var_out, h_out):
     """
     bs = min(len(p), _SCAN_BLOCK)
     q = _blocks(p, 0.5, bs)
-    nb = q.shape[1]
     a = (1.0 - q) / q
     inv_p = 1.0 / q
     prod = np.prod(a, axis=0)  # underflow to 0 only drops a forgotten start
     mu0, var0, s, c = state
-    # means: offsets from a zero start, carry, then the loop's mu = a*mu + 1/p
-    off = np.zeros(nb)
-    for j in range(bs):
-        off = a[j] * off + inv_p[j]
-    prev = mu_start = _carry(prod, off, mu0)
-    mu = np.empty((bs, nb))
-    for j in range(bs):
-        prev = mu[j] = a[j] * prev + inv_p[j]
+    mu = np.empty_like(q)  # the loop's mu = a*mu + 1/p
+    mu_start = _affine_scan(lambda x, r: np.add(np.multiply(x, r[0], x), r[1], x),
+                            list(zip(a, inv_p)), prod, mu0, mu)
     # variances: var holds (mu_prev + 1)^2 / p until the loop's
     # var = a*(var + (mu_prev + 1)^2 / p) overwrites it row by row
     var = (np.vstack([mu_start, mu[:-1]]) + 1.0) ** 2 * inv_p
-    off = np.zeros(nb)
-    for j in range(bs):
-        off = a[j] * (off + var[j])
-    prev = _carry(prod, off, var0)
-    for j in range(bs):
-        prev = var[j] = a[j] * (prev + var[j])
+    _affine_scan(lambda x, r: np.multiply(np.add(x, r[1], x), r[0], x),
+                 list(zip(a, var)), prod, var0, var)
     _unblock(mu, mu_out)
     _unblock(var, var_out)
     # H: the loop's Neumaier sum.  Its running sum adds in site order, as

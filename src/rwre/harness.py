@@ -101,11 +101,11 @@ class ExperimentConfig:
     and the ``x_grid`` entries are real numbers, not bools.  Grids must be
     sorted; ``n``, ``t`` and the ``t_grid`` and ``n_grid`` entries are at
     least 1, the replica count is at least 100 unless ``check_replicas`` is
-    false (a run that never reads it), the diagnostic exponent is
-    positive, ``ks_threshold`` (when set) lies in (0, 1], ``lln_rel_tol`` is
-    finite and positive and the ``x_grid`` entries are finite, so every
-    verdict depends on the samples.  Seeds not given explicitly are derived
-    as children of the master seed.
+    false (a run that never reads it), the diagnostic exponent ``diag_c``
+    is finite and positive, ``ks_threshold`` (when set) lies in (0, 1],
+    ``lln_rel_tol`` is finite and positive and the ``x_grid`` entries are
+    finite, so every verdict depends on the samples.  Seeds not given
+    explicitly are derived as children of the master seed.
     ``lln`` takes its scales from the last ``n_grid`` and ``t_grid`` entries;
     ``n`` and ``t`` only build an empty grid, the geometric grid ending at them.
     ``max_steps`` caps hitting, LLN and trajectory runs only: X(t) always
@@ -169,8 +169,8 @@ class ExperimentConfig:
                 raise ConfigError(f"experiment.{name}: entries must be >= 1, got {grid[0]}")
         if not all(math.isfinite(x) for x in self.x_grid):
             raise ConfigError(f"experiment.x_grid: entries must be finite, got {list(self.x_grid)}")
-        if not self.diag_c > 0:
-            raise ConfigError(f"experiment.diag_c: must be positive, got {self.diag_c}")
+        if not 0 < self.diag_c < math.inf:
+            raise ConfigError(f"experiment.diag_c: must be finite and positive, got {self.diag_c}")
         if self.ks_threshold is not None and not 0 < self.ks_threshold <= 1:
             raise ConfigError(f"experiment.ks_threshold: must lie in (0, 1], got {self.ks_threshold}")
         if not 0 < self.lln_rel_tol < math.inf:
@@ -657,8 +657,13 @@ def uniform_ergodicity_estimate(
     so a rotation locked to a short rational orbit plateaus above zero and
     is flagged as not uniformly ergodic.  Uniform ergodicity is reported
     when eps decreases along the grid and ends below max(1e-3, eps_first / 4).
+    An empty grid, a grid entry below 1 or fewer than one start raises ModelError.
     """
     n_grid = tuple(int(n) for n in n_grid)
+    if not n_grid or min(n_grid) < 1:
+        raise ModelError(f"uniform_ergodicity_estimate: n_grid needs entries >= 1, got {list(n_grid)}")
+    if starts < 1:
+        raise ModelError(f"uniform_ergodicity_estimate: starts must be >= 1, got {starts}")
     mu_ref = analytics.reference_crossing_mean(model)
     margin = suggested_burn_in(model)
     window = realize(model, -margin, starts + max(n_grid) + 2, seed)

@@ -12,11 +12,11 @@ from the solved e.  The interior increments e(k) - e(k+1) and v(k) - v(k+1)
 converge (as a -> -infinity) to the per-site crossing mean and variance, so
 they serve as desk-scale ground truth for the series in ``analytics``.  The
 solve is the forward sweep and back substitution of the tridiagonal system,
-each run as a block scan in the layout of ``analytics``' moment scan: a
-block's transfer carries the start value across it, and every block then
-re-runs the sweep's per-site operations from its start, all blocks at once
-in numpy.  Only a carried block start can differ from a scalar sweep's, in
-the last bits.
+each run as a block scan in the layout of ``analytics``' moment scan, the
+affine d and h through its ``_affine_scan``: a block's transfer carries the
+start value across it, and every block then re-runs the sweep's per-site
+operations from its start, all blocks at once in numpy.  Only a carried
+block start can differ from a scalar sweep's, in the last bits.
 
 A note on the variance forcing term: rewriting f in terms of crossing means
 gives p_k (1 - mean_k)^2 + q_k (mean_{k-1} + 1)^2, but a commonly seen
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import _SCAN_BLOCK, _SCAN_CHUNK, _blocks, _carry, _unblock
+from .analytics import _SCAN_BLOCK, _SCAN_CHUNK, _affine_scan, _blocks, _unblock
 from .environment import EnvironmentWindow
 from .errors import (
     LeftGuardBreachError,
@@ -133,18 +133,9 @@ def _sweep_chunk(p, f, phi_prev, d_prev, d_out):
         x = 1.0 - psi
     # every block re-runs the loop's phi from its start, keeping each den
     PHI, DEN = _phi_rows(P, Q, starts)
-    # d -> (q d + f)/den is affine: a block's slope is the product of q/den
-    # and its offset the loop run from a zero start
-    off = np.zeros(nb)
-    for q_j, f_j, den_j in zip(Q, F, DEN):
-        off *= q_j
-        off += f_j
-        off /= den_j
-    prev = _carry(np.prod(Q / DEN, axis=0), off, d_prev)
-    for q_j, f_j, den_j in zip(Q, F, DEN):  # F becomes d
-        f_j += q_j * prev
-        f_j /= den_j
-        prev = f_j
+    # d -> (q d + f)/den is affine, its block slope the product of q/den; F becomes d
+    _affine_scan(lambda x, r: np.divide(np.add(np.multiply(x, r[0], x), r[1], x), r[2], x),
+                 list(zip(Q, F, DEN)), np.prod(Q / DEN, axis=0), d_prev, F)
     _unblock(F, d_out)
     return float(PHI.T.flat[len(p) - 1]), float(d_out[-1]), starts
 
@@ -157,15 +148,9 @@ def _substitute_chunk(p, starts, h, h_next):
     P = _blocks(p, 0.5, bs)
     PHI = _phi_rows(P, 1.0 - P, starts)[0]
     PHI[(len(h) - 1) % bs + 1 :, -1] = 1.0  # padded sites pass h_next through unchanged
-    H = _blocks(h, 0.0, bs)
-    off = np.zeros(PHI.shape[1])
-    for phi_j, h_j in zip(PHI[::-1], H[::-1]):
-        off *= phi_j
-        off += h_j
-    prev = _carry(np.prod(PHI, axis=0)[::-1], off[::-1], h_next)[::-1]
-    for phi_j, h_j in zip(PHI[::-1], H[::-1]):
-        h_j += phi_j * prev
-        prev = h_j
+    H = _blocks(h, 0.0, bs)  # h = phi h_next + d right to left; H becomes h
+    _affine_scan(lambda x, r: np.add(np.multiply(x, r[0], x), r[1], x),
+                 list(zip(PHI[::-1], H[::-1])), np.prod(PHI, axis=0), h_next, H[::-1], reverse=True)
     _unblock(H, h)
     return float(h[0])
 
@@ -182,8 +167,8 @@ def solve_finite_chain(
 
     seeded phi_a = d_a = 0; back substitution from h_n = 0 finishes.  Both
     run as block scans, chunk by chunk: a block's Moebius (phi) or affine
-    (d, h) transfer carries the start value across it, then every block
-    re-runs the per-site operations above from its start.  d is swept into
+    (d, h, through ``_affine_scan``) transfer carries the start value across
+    it, then every block re-runs the per-site operations above from its start.  d is swept into
     ``h``, which the substitution overwrites in place, and phi is kept as its
     block starts (1/64 of the chain), so ``h`` is the only full-length array
     added to ``f_values``, the interior forcing f_k for k = a+1..n-1.
@@ -224,7 +209,7 @@ def solve_finite_chain(
 
 def expected_hitting_times(window: EnvironmentWindow, a: int, n: int) -> FiniteChainSolution:
     """e(x) = expected time to hit n from x, absorbing at both a and n."""
-    return solve_finite_chain(window, a, n, np.ones(n - a - 1))
+    return solve_finite_chain(window, a, n, np.broadcast_to(1.0, n - a - 1))
 
 
 def _variance_forcing(window: EnvironmentWindow, e: FiniteChainSolution) -> np.ndarray:

@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 
 from rwre import analytics
 from rwre.analytics import (
+    _SCAN_BLOCK,
+    _SCAN_CHUNK,
     _SERIES_TOL,
     MomentProfile,
     SiteMoments,
+    _blocks,
     _burn_start,
+    _carry,
     _decay_ratio,
     _tail_failure,
+    _unblock,
     closed_form_variance,
     closed_form_variance_printed,
     reference_crossing_mean,
@@ -329,6 +334,46 @@ def scan_window(law, n=SCAN_SITES, seed=3):
     return realize(law, -suggested_burn_in(law), n, seed)
 
 
+def inline_scan_chunk(p, state, mu_out, var_out, h_out):
+    """The profile's chunk scan with its offset, carry and re-run loops
+    written out for each recursion, kept to pin the profile's bits."""
+    bs = min(len(p), _SCAN_BLOCK)
+    q = _blocks(p, 0.5, bs)
+    nb = q.shape[1]
+    a = (1.0 - q) / q
+    inv_p = 1.0 / q
+    prod = np.prod(a, axis=0)  # underflow to 0 only drops a forgotten start
+    mu0, var0, s, c = state
+    # means: offsets from a zero start, carry, then the loop's mu = a*mu + 1/p
+    off = np.zeros(nb)
+    for j in range(bs):
+        off = a[j] * off + inv_p[j]
+    prev = mu_start = _carry(prod, off, mu0)
+    mu = np.empty((bs, nb))
+    for j in range(bs):
+        prev = mu[j] = a[j] * prev + inv_p[j]
+    # variances: var holds (mu_prev + 1)^2 / p until the loop's
+    # var = a*(var + (mu_prev + 1)^2 / p) overwrites it row by row
+    var = (np.vstack([mu_start, mu[:-1]]) + 1.0) ** 2 * inv_p
+    off = np.zeros(nb)
+    for j in range(bs):
+        off = a[j] * (off + var[j])
+    prev = _carry(prod, off, var0)
+    for j in range(bs):
+        prev = var[j] = a[j] * (prev + var[j])
+    _unblock(mu, mu_out)
+    _unblock(var, var_out)
+    # H: the loop's Neumaier sum.  Its running sum adds in site order, as
+    # cumsum does, and each addition's rounding error is exact (TwoSum), so
+    # both sequences are the loop's bit for bit.
+    run = np.cumsum(np.concatenate(([s], mu_out)))
+    z = run[1:] - run[:-1]
+    err = (run[:-1] - (run[1:] - z)) + (mu_out - z)
+    comp = np.cumsum(np.concatenate(([c], err)))
+    np.add(run[1:], comp[1:], out=h_out)
+    return float(mu_out[-1]), float(var_out[-1]), float(run[-1]), float(comp[-1])
+
+
 class TestBlockScan:
     @pytest.mark.parametrize("name", sorted(SCAN_LAWS))
     def test_matches_sequential_loop(self, name):
@@ -342,6 +387,22 @@ class TestBlockScan:
             assert np.isfinite(got).all()
             assert np.max(np.abs(got - ref) / ref) <= 1e-13
         assert h[0] == 0.0
+
+    @pytest.mark.parametrize("name", sorted(SCAN_LAWS))
+    @pytest.mark.parametrize("hi", [40, 2 * _SCAN_CHUNK + 16, SCAN_SITES],
+                             ids=["one-short-block", "short-last-chunk", "many-chunks"])
+    def test_bits_are_inline_scan(self, monkeypatch, name, hi):
+        # the same bits as the chunk scan with its loops written out, on one
+        # window shorter than a block, one whose last chunk is shorter than a
+        # block, and one over many chunks ending in a partial block
+        w = scan_window(SCAN_LAWS[name], n=hi)
+        profile = MomentProfile(w)
+        monkeypatch.setattr(analytics, "_scan_chunk", inline_scan_chunk)
+        ref = MomentProfile(w)
+        n = hi + 1
+        assert profile.mu_array(n).tobytes() == ref.mu_array(n).tobytes()
+        assert profile.sigma2_array(n).tobytes() == ref.sigma2_array(n).tobytes()
+        assert profile._prefix.tobytes() == ref._prefix.tobytes()  # H(0..n)
 
     def test_constant_window_fixed_point(self):
         # the loop settles on the float fixed point just below 2 (1 ulp) and

@@ -475,6 +475,15 @@ class TestUniformErgodicity:
         assert rep.epsilon[-1] > 1e-3  # stuck at the orbit-vs-circle gap
         assert not rep.uniformly_ergodic
 
+    @pytest.mark.parametrize("n_grid,starts,field", [
+        ((), 2000, "n_grid"), ((0, 100), 2000, "n_grid"), ((-5,), 2000, "n_grid"),
+        ((100,), 0, "starts"), ((100,), -1, "starts"),
+    ], ids=["empty", "zero-entry", "negative-entry", "zero-starts", "negative-starts"])
+    def test_bad_arguments_are_model_errors(self, n_grid, starts, field):
+        # no bare ValueError from an empty max, and no NaN epsilon from n = 0
+        with pytest.raises(ModelError, match=field):
+            uniform_ergodicity_estimate(Constant(0.75), n_grid, starts)
+
 
 class TestCouplingIdentity:
     def test_clean_constant(self):

@@ -438,6 +438,19 @@ class TestSolveFiniteChain:
             tracemalloc.stop()
         assert peak < 2 * 8 * (n - a + 1) + 8 * 8 * _SCAN_CHUNK
 
+    def test_expectation_peak_memory(self, two_point):
+        # the library chain again: e's forcing is a broadcast 1.0, not a chain
+        # array of ones, so h is the only full-length array alive
+        a, n = -2000, 200_000
+        w = realize(two_point, a, n, seed=1)
+        tracemalloc.start()
+        try:
+            expected_hitting_times(w, a, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (n - a + 1) + 8 * 8 * _SCAN_CHUNK
+
     def test_argument_validation(self):
         w = realize(Constant(0.75), -10, 10, seed=0)
         with pytest.raises(ModelError):
