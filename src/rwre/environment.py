@@ -596,18 +596,16 @@ def check_conditions(model: EnvironmentModel) -> ConditionReport:
 
     The evidence is exact for constant and finitely supported laws and comes
     from the deterministic quadratures for quasi-periodic and parametric
-    laws, so every verdict is computed rather than sampled.
+    laws, so every verdict is computed rather than sampled.  The growth
+    rate r_gamma is ``odds_growth_rate`` at GAMMA for every family; C3 is
+    decided in each family's branch.
     """
     lam = mean_log_odds(model)
     r1 = odds_growth_rate(model, 1.0)
     r2 = odds_growth_rate(model, 2.0)
-    evidence: dict = {"lambda": lam}
+    evidence: dict = {"lambda": lam, "r_gamma": odds_growth_rate(model, GAMMA), "r1": r1, "r2": r2}
     holds_c1 = True
-    if isinstance(model, (Constant, IidDiscrete)):
-        evidence["E_p_neg_gamma"] = _atom_mean(model, lambda p: p**-GAMMA)
-        evidence["E_q_neg_gamma"] = _atom_mean(model, lambda p: (1.0 - p) ** -GAMMA)
-        evidence["r_gamma"] = odds_growth_rate(model, GAMMA)
-    elif isinstance(model, QuasiPeriodic):
+    if isinstance(model, QuasiPeriodic):
         q = _small_denominator(model.alpha)
         holds_c1 = q is None
         if q is not None:
@@ -615,18 +613,16 @@ def check_conditions(model: EnvironmentModel) -> ConditionReport:
         grid = model.p_of_phase(np.arange(_PHASE_GRID) / _PHASE_GRID)
         evidence["p_min"] = float(grid.min())
         evidence["p_max"] = float(grid.max())
-        evidence["r_gamma"] = math.exp(GAMMA * lam)
-    else:
-        # p^-gamma = exp(-gamma ln p) with ln p = ln expit(-x), and likewise for 1-p
-        evidence["E_p_neg_gamma"] = _parametric_mean(model, lambda x: np.exp(-GAMMA * _log_expit(-x)))
-        evidence["E_q_neg_gamma"] = _parametric_mean(model, lambda x: np.exp(-GAMMA * _log_expit(x)))
-        evidence["r_gamma"] = _parametric_mean(model, lambda x: np.exp(GAMMA * x))
-        evidence["support"] = [model.p_lo, model.p_hi]
-    evidence["r1"] = r1
-    evidence["r2"] = r2
-    if isinstance(model, QuasiPeriodic):
         holds_c3 = 0.0 < evidence["p_min"] and evidence["p_max"] < 1.0
     else:
+        if isinstance(model, (Constant, IidDiscrete)):
+            evidence["E_p_neg_gamma"] = _atom_mean(model, lambda p: p**-GAMMA)
+            evidence["E_q_neg_gamma"] = _atom_mean(model, lambda p: (1.0 - p) ** -GAMMA)
+        else:
+            # p^-gamma = exp(-gamma ln p) with ln p = ln expit(-x), and likewise for 1-p
+            evidence["E_p_neg_gamma"] = _parametric_mean(model, lambda x: np.exp(-GAMMA * _log_expit(-x)))
+            evidence["E_q_neg_gamma"] = _parametric_mean(model, lambda x: np.exp(-GAMMA * _log_expit(x)))
+            evidence["support"] = [model.p_lo, model.p_hi]
         holds_c3 = math.isfinite(evidence["E_p_neg_gamma"]) and math.isfinite(evidence["E_q_neg_gamma"])
 
     regime = _regime(lam)

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _SQRT_HALF = math.sqrt(0.5)
+_DIAG_N_GRID = (100, 1000, 10_000)  # the diagnostics' n grid when the config sets none
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
@@ -102,7 +103,8 @@ class ExperimentConfig:
     sorted; ``n``, ``t`` and the ``t_grid`` and ``n_grid`` entries are at
     least 1, the replica count is at least 100 unless ``check_replicas`` is
     false (a run that never reads it), the diagnostic exponent ``diag_c``
-    is finite and positive, ``ks_threshold`` (when set) lies in (0, 1],
+    is finite and positive with a finite diagnostics window (n ** ((1 + c) / 2)
+    sites past the largest n), ``ks_threshold`` (when set) lies in (0, 1],
     ``lln_rel_tol`` is finite and positive and the ``x_grid`` entries are
     finite, so every verdict depends on the samples.  Seeds not given
     explicitly are derived as children of the master seed.
@@ -171,6 +173,10 @@ class ExperimentConfig:
             raise ConfigError(f"experiment.x_grid: entries must be finite, got {list(self.x_grid)}")
         if not 0 < self.diag_c < math.inf:
             raise ConfigError(f"experiment.diag_c: must be finite and positive, got {self.diag_c}")
+        try:  # the diagnostics window reaches n ** ((1 + c) / 2) sites past the largest n
+            max(self.n_grid or _DIAG_N_GRID) ** ((1 + self.diag_c) / 2)
+        except OverflowError:
+            raise ConfigError(f"experiment.diag_c: the diagnostics window overflows a float at {self.diag_c}")
         if self.ks_threshold is not None and not 0 < self.ks_threshold <= 1:
             raise ConfigError(f"experiment.ks_threshold: must lie in (0, 1], got {self.ks_threshold}")
         if not 0 < self.lln_rel_tol < math.inf:
@@ -553,7 +559,7 @@ def fluctuation_diagnostics(config: ExperimentConfig) -> DiagnosticReport:
     """
     summ = analytics.summary(config.model)
     t_grid = config.t_grid or (1000, 10_000, 100_000)
-    n_grid = config.n_grid or (100, 1000, 10_000)
+    n_grid = config.n_grid or _DIAG_N_GRID
     x_grid = config.x_grid
     c = config.diag_c
     t_max = max(t_grid)
@@ -720,27 +726,25 @@ def coupling_identity_check(
     """Joint-mode trajectories checked exhaustively on (t, y) grids.
 
     The t grid includes exact hitting times T(k) (the adversarial boundary
-    case of the left-closed bracket).  The law needs a positive speed: the
-    default step cap comes from its law-level mean crossing time.
+    case of the left-closed bracket); y runs over n_t plus each distinct offset
+    in {-1, 0, 1, y_per_t} with T(y+1) recorded.  One ``first_passage_index``
+    call per trajectory gives n_t on its whole t grid.  The law needs a
+    positive speed: the default step cap comes from its law-level mean
+    crossing time.
     """
     n_goal = config.n
     mu = analytics.reference_crossing_mean(config.model)
     budget = _budget(config, walk.default_max_steps(n_goal, mu))
     env_seed = config.resolved_env_seed()
     window = _experiment_window(config, n_goal + 1, env_seed, budget.left_guard)
-    checks = 0
-    event_bad = 0
-    approx_bad = 0
-    parity_bad = 0
-    odd_bad = 0
+    offsets = np.unique([-1, 0, 1, y_per_t])
+    checks = event_bad = approx_bad = parity_bad = odd_bad = 0
     for r in range(config.replicas):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.resolved_walk_seed(), spawn_key=(7, r))
         )
         obs = walk.sample_position(window, 0, (), rng, budget, n_goal=n_goal, record_path=True)
-        hit = obs.hit
-        tau = obs.tau
-        path = obs.path
+        hit, tau, path = obs.hit, obs.tau, obs.path
         t_end = int(hit[-1]) - 1
         if np.any(tau % 2 != 1):
             odd_bad += 1
@@ -748,21 +752,15 @@ def coupling_identity_check(
             parity_bad += 1
         base = np.unique(np.linspace(0, t_end, t_points, dtype=np.int64))
         boundary = hit[hit <= t_end][:: max(1, len(hit) // 8)]
-        t_values = np.unique(np.concatenate([base, boundary]))
-        for t in t_values:
-            t = int(t)
-            n_t = walk.first_passage_index(obs, t)
-            x_t = int(path[t])
-            # approximation bound
-            if not (abs(x_t - n_t) <= t - int(hit[n_t]) < int(tau[n_t])):
-                approx_bad += 1
-            ys = {n_t - 1, n_t, n_t + 1, n_t + y_per_t}
-            for y in ys:
-                if y < 0 or y + 1 >= len(hit):
-                    continue
-                checks += 1
-                if (n_t <= y) != (int(hit[y + 1]) > t):
-                    event_bad += 1
+        t = np.unique(np.concatenate([base, boundary]))
+        n_t = walk.first_passage_index(obs, t)
+        since = t - hit[n_t]  # the bound |X(t) - n_t| <= t - T(n_t) < tau_{n_t}
+        approx_bad += int(np.count_nonzero((np.abs(path[t] - n_t) > since) | (since >= tau[n_t])))
+        y = n_t[:, None] + offsets  # the event identity {n_t <= y} = {T(y+1) > t}
+        valid = (y >= 0) & (y + 1 < len(hit))
+        checks += int(np.count_nonzero(valid))
+        event = (n_t[:, None] <= y) != (hit.take(y + 1, mode="clip") > t[:, None])
+        event_bad += int(np.count_nonzero(valid & event))
     return CouplingReport(
         trajectories=config.replicas,
         checks=checks,

@@ -219,16 +219,19 @@ def sample_hitting_times(
     return sample_position(window, 0, (), rng, budget, n_goal=n)
 
 
-def first_passage_index(observation: WalkObservation, t: float) -> int:
-    """The unique n with T(n) <= t < T(n+1) for this trajectory."""
+def first_passage_index(observation: WalkObservation, t: float | np.ndarray) -> int | np.ndarray:
+    """The unique n with T(n) <= t < T(n+1) for this trajectory: a Python int
+    for a scalar t, the int64 array of n for an array of times.  Each t must
+    lie in [0, T(last)); NaN raises ``ModelError`` like a negative t."""
     hit = observation.hit
-    if t < 0:
+    if not np.all(np.asarray(t) >= 0):
         raise ModelError(f"first_passage_index: t must be >= 0, got {t}")
-    if t >= hit[-1]:
+    if not np.all(np.asarray(t) < hit[-1]):
         raise WindowTooSmallError(
             f"hitting-time record ends at T({len(hit) - 1}) = {int(hit[-1])}; t={t} not bracketed"
         )
-    return int(np.searchsorted(hit, t, side="right")) - 1
+    n = np.searchsorted(hit, t, side="right") - 1
+    return int(n) if np.ndim(t) == 0 else n
 
 
 # ---------------------------------------------------------------------------

@@ -288,11 +288,12 @@ class TestErrors:
         ("clt-hitting", {"x_grid": [0.0, float("nan")]}, {}),
         ("clt-hitting", {"x_grid": [0.0, float("inf")]}, {}),
         ("diagnostics", {"kind": "diagnostics", "diag_c": float("inf")}, {}),
+        ("diagnostics", {"kind": "diagnostics", "diag_c": 200.0}, {}),
     ], ids=["master-str", "master-float", "master-bool", "walk-float", "env-float",
             "ks_threshold-str", "ks_threshold-bool", "lln_rel_tol-str", "x_grid-str", "seeds-scalar",
             "ks_threshold-nan", "ks_threshold-zero", "ks_threshold-above-1", "lln_rel_tol-negative",
             "lln_rel_tol-zero", "lln_rel_tol-nan", "lln_rel_tol-inf", "x_grid-nan", "x_grid-inf",
-            "diag_c-inf"])
+            "diag_c-inf", "diag_c-window-overflow"])
     def test_bad_types_are_config_errors(self, tmp_path, capsys, command, experiment, seeds):
         # rejected while the config is read, before any experiment runs; so is
         # a threshold or grid point that makes the verdict or a cdf_errors row

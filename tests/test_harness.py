@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from rwre.analytics import reference_crossing_mean, summary
-from rwre import harness
+from rwre import analytics, harness, walk
 from rwre.environment import Constant
 from rwre.errors import (
     ConfigError,
@@ -485,7 +486,106 @@ class TestUniformErgodicity:
             uniform_ergodicity_estimate(Constant(0.75), n_grid, starts)
 
 
+def nested_loop_coupling_check(config, *, t_points=25, y_per_t=4):
+    """Reference: ``coupling_identity_check`` as it was with one scalar
+    ``first_passage_index`` call per (trajectory, t) and a loop over y."""
+    n_goal = config.n
+    mu = analytics.reference_crossing_mean(config.model)
+    budget = harness._budget(config, walk.default_max_steps(n_goal, mu))
+    env_seed = config.resolved_env_seed()
+    window = harness._experiment_window(config, n_goal + 1, env_seed, budget.left_guard)
+    checks = 0
+    event_bad = 0
+    approx_bad = 0
+    parity_bad = 0
+    odd_bad = 0
+    for r in range(config.replicas):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=config.resolved_walk_seed(), spawn_key=(7, r))
+        )
+        obs = walk.sample_position(window, 0, (), rng, budget, n_goal=n_goal, record_path=True)
+        hit = obs.hit
+        tau = obs.tau
+        path = obs.path
+        t_end = int(hit[-1]) - 1
+        if np.any(tau % 2 != 1):
+            odd_bad += 1
+        if np.any((path + np.arange(len(path))) % 2 != 0):
+            parity_bad += 1
+        base = np.unique(np.linspace(0, t_end, t_points, dtype=np.int64))
+        boundary = hit[hit <= t_end][:: max(1, len(hit) // 8)]
+        t_values = np.unique(np.concatenate([base, boundary]))
+        for t in t_values:
+            t = int(t)
+            n_t = walk.first_passage_index(obs, t)
+            x_t = int(path[t])
+            # approximation bound
+            if not (abs(x_t - n_t) <= t - int(hit[n_t]) < int(tau[n_t])):
+                approx_bad += 1
+            ys = {n_t - 1, n_t, n_t + 1, n_t + y_per_t}
+            for y in ys:
+                if y < 0 or y + 1 >= len(hit):
+                    continue
+                checks += 1
+                if (n_t <= y) != (int(hit[y + 1]) > t):
+                    event_bad += 1
+    return harness.CouplingReport(
+        trajectories=config.replicas,
+        checks=checks,
+        event_identity_violations=event_bad,
+        approximation_violations=approx_bad,
+        parity_violations=parity_bad,
+        odd_tau_violations=odd_bad,
+    )
+
+
+def corrupting_sampler(kind):
+    """``walk.sample_position`` with each observation corrupted the same way
+    on every run: a few ``path[t]`` (always ``path[0]``) moved by +-1 or +-2,
+    or 1 or 2 added to ``hit[j:]``, which keeps the record strictly increasing,
+    cut where it passes the path's end."""
+    sample = walk.sample_position
+    calls = itertools.count()
+
+    def sampler(*args, **kwargs):
+        obs = sample(*args, **kwargs)
+        rng = np.random.default_rng(next(calls))
+        hit, path = obs.hit.copy(), obs.path.copy()
+        if kind == "path":
+            at = np.append(rng.integers(0, len(path), 3), 0)
+            path[at] += rng.choice([-2, -1, 1, 2], len(at))
+        else:
+            hit[rng.integers(1, len(hit)):] += rng.integers(1, 3)
+            hit = hit[hit < len(path)]  # every t the check reads has a path entry
+        return walk.WalkObservation(hit=hit, snapshots=obs.snapshots, path=path)
+
+    return sampler
+
+
 class TestCouplingIdentity:
+    @pytest.mark.parametrize("kind", ["clean", "path", "hit"])
+    def test_counts_match_nested_loop_reference(self, two_point, monkeypatch, kind):
+        # n_t comes from the record it is checked against, so the event identity
+        # holds on every strictly increasing record: a corruption shows in the
+        # bound, the parity or the crossing times
+        cfg = ExperimentConfig(model=two_point, replicas=100, n=30, master_seed=23)
+        for y_per_t in (-1, 0, 1, 4):
+            reports = []
+            for check in (coupling_identity_check, nested_loop_coupling_check):
+                if kind != "clean":
+                    monkeypatch.setattr(walk, "sample_position", corrupting_sampler(kind))
+                reports.append(check(cfg, y_per_t=y_per_t))
+                monkeypatch.undo()
+            rep, ref = reports
+            assert rep == ref
+            assert all(type(v) is int for v in vars(rep).values())
+            assert rep.checks > 0
+            assert rep.clean == (kind == "clean")
+            if kind == "path":
+                assert rep.approximation_violations > 0 and rep.parity_violations > 0
+            if kind == "hit":
+                assert rep.approximation_violations > 0 and rep.odd_tau_violations > 0
+
     def test_clean_constant(self):
         cfg = ExperimentConfig(model=Constant(0.75), replicas=150, n=100, master_seed=21)
         rep = coupling_identity_check(cfg)

@@ -505,6 +505,25 @@ class TestFirstPassageIndex:
         with pytest.raises(WindowTooSmallError):
             first_passage_index(obs, 1)
 
+    def test_array_matches_scalar_calls(self, window_75):
+        obs = sample_position(window_75, 0, [], np.random.default_rng(3), BUDGET, n_goal=60)
+        t = np.arange(int(obs.hit[-1]))
+        n_t = first_passage_index(obs, t)
+        assert n_t.dtype == np.int64
+        assert n_t.tolist() == [first_passage_index(obs, int(s)) for s in t]
+        assert type(first_passage_index(obs, 5)) is int
+        assert first_passage_index(obs, np.array([], dtype=np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("t,error", [
+        (float("nan"), ModelError), (-1, ModelError), ([0, float("nan")], ModelError),
+        ([3, -1], ModelError), ([0, 5], WindowTooSmallError), ([6.5], WindowTooSmallError),
+    ], ids=["nan", "negative", "array-nan", "array-negative", "array-at-last", "array-past-last"])
+    def test_bad_times_are_typed_errors(self, t, error):
+        # a NaN time used to give the last index instead of an error
+        obs = WalkObservation(hit=np.array([0, 1, 4, 5]))
+        with pytest.raises(error):
+            first_passage_index(obs, np.asarray(t) if isinstance(t, list) else t)
+
     def test_event_identity_and_bound(self, window_75):
         # {n_t <= y} iff {T(y+1) > t}, and |X(t) - n_t| <= t - T(n_t) < tau_{n_t}
         for r in range(25):
