@@ -596,9 +596,8 @@ def check_conditions(model: EnvironmentModel) -> ConditionReport:
 
     The evidence is exact for constant and finitely supported laws and comes
     from the deterministic quadratures for quasi-periodic and parametric
-    laws, so every verdict is computed rather than sampled.  The growth
-    rate r_gamma is ``odds_growth_rate`` at GAMMA for every family; C3 is
-    decided in each family's branch.
+    laws, so every verdict is computed rather than sampled.  For every
+    family the growth rate r_gamma is ``odds_growth_rate`` at GAMMA.
     """
     lam = mean_log_odds(model)
     r1 = odds_growth_rate(model, 1.0)
